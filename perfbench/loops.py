@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import gc
 import os
-import random
 import shutil
 import statistics
 import tempfile
+import threading
 import time
 
 from repro import SetJoinDatabase
@@ -52,10 +52,70 @@ def _registry_values() -> dict:
     return out
 
 
-def _io_bytes(db) -> int:
-    """Page bytes written (pager IOStats) plus WAL bytes appended so far."""
-    return (db.disk.stats.page_writes * db.disk.page_size
-            + _registry_values()["wal.bytes"])
+class PhysicalIO:
+    """Counts the page reads and writes that reach a database's file.
+
+    The pager's ``IOStats`` are shared with the WAL disk manager, which
+    also counts a page written inside a transaction when it is buffered,
+    before its checkpoint writes it; a buffered read is counted too.  So
+    the benchmark counts at the physical layer of the file disk manager
+    itself: every page read, page write and zero-filled page growth.
+
+    It also keeps the bytes written inside ``create_relation`` and
+    ``drop_relation``, which run on whichever thread executes them (the
+    service lane, on ``service_mix``), apart from the join's spill.
+    """
+
+    def __init__(self, db):
+        disk = getattr(db.disk, "inner", db.disk)
+        self.page_size = disk.page_size
+        self.reads = 0
+        self.writes = 0
+        self.create_bytes = 0
+        self._lock = threading.Lock()
+        read, write, grow = (disk._read_physical, disk._write_physical,
+                             disk._grow_physical)
+
+        def counted_read(page_id):
+            with self._lock:
+                self.reads += 1
+            return read(page_id)
+
+        def counted_write(page_id, raw):
+            with self._lock:
+                self.writes += 1
+            return write(page_id, raw)
+
+        def counted_grow():
+            with self._lock:
+                self.writes += 1
+            return grow()
+
+        disk._read_physical = counted_read
+        disk._write_physical = counted_write
+        disk._grow_physical = counted_grow
+        for name in ("create_relation", "drop_relation"):
+            setattr(db, name, self._counting(db, name))
+
+    def _counting(self, db, name: str):
+        def call(*args, **kwargs):
+            before = self.bytes_written()
+            try:
+                # looked up per call, so a traced run's wrapper is used
+                return getattr(type(db), name)(db, *args, **kwargs)
+            finally:
+                self.create_bytes += self.bytes_written() - before
+        return call
+
+    def snapshot(self) -> tuple[int, int]:
+        return self.reads, self.writes
+
+    def delta(self, earlier: tuple[int, int]) -> tuple[int, int]:
+        return self.reads - earlier[0], self.writes - earlier[1]
+
+    def bytes_written(self) -> int:
+        """Database-file page bytes plus WAL bytes written so far."""
+        return self.writes * self.page_size + _registry_values()["wal.bytes"]
 
 
 class Outcome:
@@ -133,26 +193,29 @@ def _warm_up(ws: Workspace) -> None:
 
 
 def _setup(ws: Workspace, data: Inputs, buffer_pages: int, out: Outcome,
-           repeats: int):
-    """Time ``repeats`` fresh set-ups; keep the last database open."""
+           common: dict, seconds: float):
+    """Time fresh set-ups for ``setup_share`` of the run's ``seconds``, at
+    least ``setup_min`` of them; keep the last database open.  Returns the
+    database and the rest of ``seconds`` for the workload loop (a fixed
+    share, so that a schedule's length does not depend on set-up speed)."""
     db = None
-    for __ in range(repeats):
+    deadline = clock() + common["setup_share"] * seconds
+    while len(out.samples["setup"]) < common["setup_min"] or clock() < deadline:
         if db is not None:
             db.close()
         path = ws.new_db_path()
         started = clock()
         db = SetJoinDatabase.open(path, buffer_pages=buffer_pages)
-        stats_before = db.disk.stats.snapshot()
-        bytes_before = _io_bytes(db)
+        io = PhysicalIO(db)
+        bytes_before = io.bytes_written()
         db.create_relation("R", data.r_rows)
         pages_before_s = db.disk.num_pages
         db.create_relation("S", data.s_rows)
         out.samples["setup"].append(clock() - started)
-        stats = db.disk.stats.delta(stats_before)
         out.counters["setup"] = {
-            "page_reads": stats.page_reads,
-            "page_writes": stats.page_writes,
-            "io_bytes": _io_bytes(db) - bytes_before,
+            "page_reads": io.reads,
+            "page_writes": io.writes,
+            "io_bytes": io.bytes_written() - bytes_before,
         }
         out.info["s_pages"] = db.disk.num_pages - pages_before_s
         out.info["data_pages"] = db.disk.num_pages
@@ -161,7 +224,7 @@ def _setup(ws: Workspace, data: Inputs, buffer_pages: int, out: Outcome,
     out.info["buffer_pages"] = buffer_pages
     out.info["s_pages_per_buffer_page"] = out.info["s_pages"] / buffer_pages
     out.info["data_pages_per_buffer_page"] = out.info["data_pages"] / buffer_pages
-    return db
+    return db, io, seconds * (1.0 - common["setup_share"])
 
 
 def _join_counters(metrics) -> dict:
@@ -180,8 +243,10 @@ def _join_counters(metrics) -> dict:
 # ----------------------------------------------------------------------
 
 class _Batch:
-    def __init__(self, db, data: Inputs, spec: dict, out: Outcome):
+    def __init__(self, db, io: PhysicalIO, data: Inputs, spec: dict,
+                 out: Outcome):
         self.db = db
+        self.io = io
         self.data = data
         self.spec = spec
         self.out = out
@@ -201,11 +266,11 @@ class _Batch:
     def round(self, timed: bool) -> dict:
         """One join, its probes and its creates; returns the round's
         deterministic counters."""
-        db, data, out = self.db, self.data, self.out
+        db, io, data, out = self.db, self.io, self.data, self.out
         self.rounds_run += 1
         if self.rec is not None:
             self.rec.set_query(self.rounds_run)
-        io_before = db.disk.stats.snapshot()
+        io_before = io.snapshot()
         reg_before = _registry_values()
         started = clock()
         pairs, metrics = db.join("R", "S")
@@ -223,28 +288,27 @@ class _Batch:
             self._checked(lambda: tids == data.expected_probes[index])
             if timed:
                 out.samples["probe"].append(elapsed)
-        create_bytes = 0
+        create_bytes = io.create_bytes
         create_user = 0
         for __ in range(self.spec["creates_per_round"]):
             rows = data.creates[self.create_index % len(data.creates)]
             name = f"c{self.create_index}"
             self.create_index += 1
-            io_before_create = _io_bytes(db)
             started = clock()
             count = db.create_relation(name, rows)
             elapsed = clock() - started
             db.drop_relation(name)
-            create_bytes += _io_bytes(db) - io_before_create
             create_user += inputs.user_bytes(rows)
             self._checked(lambda: count == len(rows))
             if timed:
                 out.samples["create"].append(elapsed)
-        stats = db.disk.stats.delta(io_before)
+        reads, writes = io.delta(io_before)
         reg = _registry_values()
         counters.update(
-            page_reads=stats.page_reads, page_writes=stats.page_writes,
+            page_reads=reads, page_writes=writes,
             wal_bytes=reg["wal.bytes"] - reg_before["wal.bytes"],
-            create_io_bytes=create_bytes, create_user_bytes=create_user)
+            create_io_bytes=io.create_bytes - create_bytes,
+            create_user_bytes=create_user)
         if timed:
             ops = 1 + self.spec["probes_per_round"] + self.spec["creates_per_round"]
             out.attempted += ops
@@ -268,9 +332,10 @@ def run_batch(spec: dict, common: dict, seed: int, seconds: float,
     out = Outcome()
     data = Inputs(spec, common, seed)
     _warm_up(ws)
-    db = _setup(ws, data, spec["buffer_pages"], out, common["setup_repeats"])
+    db, io, seconds = _setup(ws, data, spec["buffer_pages"], out, common,
+                             seconds)
     try:
-        batch = _Batch(db, data, spec, out)
+        batch = _Batch(db, io, data, spec, out)
         batch.round(timed=False)  # warm-up round
         batch.rounds(seconds / 2 if spans_path else seconds)
         if spans_path:
@@ -278,7 +343,7 @@ def run_batch(spec: dict, common: dict, seed: int, seconds: float,
                 batch.rec = rec
                 return batch.rounds(seconds / 2)
 
-            _traced_half(out, db, traced, "MainThread", "join", spans_path)
+            _traced_half(out, db, io, traced, "MainThread", "join", spans_path)
         round_counters = out.counters["round"]
         out.info["write_amp"] = (
             (out.counters["setup"]["io_bytes"] + round_counters["create_io_bytes"])
@@ -292,27 +357,24 @@ def run_batch(spec: dict, common: dict, seed: int, seconds: float,
 # Service workload: open loop through QueryService.submit
 # ----------------------------------------------------------------------
 
-def schedule(spec: dict, seed: int, seconds: float) -> list[tuple[float, str]]:
-    """``rate * seconds`` arrivals at fixed intervals of ``1 / rate`` from a
-    seeded phase, carrying the operation mix in seeded shuffled blocks.
+def schedule(spec: dict, seconds: float) -> list[tuple[float, str]]:
+    """Whole blocks of ``spec["block"]`` (``[offset_s, kind]`` pairs), one
+    every ``block_seconds``, as many as fit ``seconds`` (at least one).
 
-    Fixed intervals rather than exponential gaps: with joins about seven
-    times longer than probes on one execution lane, the number of short
-    operations that land behind a join in a Poisson schedule varies so
-    much from seed to seed that a run's p90 latency mostly measures the
-    schedule, not the program.
+    The schedule is fixed, not random: with joins about seven times longer
+    than probes on one execution lane, how many short operations land
+    behind a join, and of which kind, would vary from seed to seed so much
+    that a run's p90 latency mostly measured the schedule, not the
+    program.  Each block sends three probes and two creates just after its
+    join, so a quarter of the probes and creates queue behind a join on
+    every run and the p90s read that wait; the other operations come far
+    enough after the join that they do not wait even on a slow host, and
+    the p50s read them.
     """
-    rng = random.Random(seed)
-    block = [kind for kind, n in spec["block"].items() for __ in range(n)]
-    total = max(len(block), round(spec["rate_per_s"] * seconds))
-    kinds: list[str] = []
-    while len(kinds) < total:
-        shuffled = list(block)
-        rng.shuffle(shuffled)
-        kinds.extend(shuffled)
-    phase = rng.random()
-    return [((index + phase) / spec["rate_per_s"], kind)
-            for index, kind in enumerate(kinds[:total])]
+    period = spec["block_seconds"]
+    blocks = max(1, round(seconds / period))
+    return [(index * period + offset, kind)
+            for index in range(blocks) for offset, kind in spec["block"]]
 
 
 class _Submitted:
@@ -327,15 +389,15 @@ class _Submitted:
         self.error = None
 
 
-def _run_schedule(db, data: Inputs, plan, out: Outcome, lags: list,
-                  rec: Recorder | None, counters: dict) -> None:
+def _run_schedule(db, io: PhysicalIO, data: Inputs, plan, out: Outcome,
+                  lags: list, rec: Recorder | None, counters: dict) -> None:
     service = QueryService(db)
     service.start()
     submitted: list[_Submitted] = []
     creates = 0
     probes = 0
-    io_before = db.disk.stats.snapshot()
-    bytes_before = _io_bytes(db)
+    io_before = io.snapshot()
+    create_bytes = io.create_bytes
     reg_before = _registry_values()
     start = clock() + 0.05
     try:
@@ -365,7 +427,6 @@ def _run_schedule(db, data: Inputs, plan, out: Outcome, lags: list,
                 item.error = error
                 out.shed += 1
             submitted.append(item)
-        join_writes = 0
         for item in submitted:
             out.attempted += 1
             if item.error is not None:
@@ -387,8 +448,6 @@ def _run_schedule(db, data: Inputs, plan, out: Outcome, lags: list,
                 pairs, metrics = result
                 out.check(pairs == data.expected_pairs)
                 counters.setdefault("join", _join_counters(metrics))
-                join_writes += sum(phase.page_writes for phase in (
-                    metrics.partitioning, metrics.joining, metrics.verification))
             elif item.kind == "probe":
                 out.check(result == data.expected_probes[item.index])
             else:
@@ -400,14 +459,13 @@ def _run_schedule(db, data: Inputs, plan, out: Outcome, lags: list,
                 rec.exit(frame)
     finally:
         service.stop()
-    stats = db.disk.stats.delta(io_before)
+    reads, writes = io.delta(io_before)
     reg = _registry_values()
     counters.update(
         operations=len(plan), creates=creates, probes=probes,
-        page_reads=stats.page_reads, page_writes=stats.page_writes,
+        page_reads=reads, page_writes=writes,
         wal_bytes=reg["wal.bytes"] - reg_before["wal.bytes"],
-        create_io_bytes=(_io_bytes(db) - bytes_before
-                         - join_writes * db.disk.page_size))
+        create_io_bytes=io.create_bytes - create_bytes)
 
 
 def run_service(spec: dict, common: dict, seed: int, seconds: float,
@@ -417,23 +475,24 @@ def run_service(spec: dict, common: dict, seed: int, seconds: float,
     out = Outcome()
     data = Inputs(spec, common, seed)
     _warm_up(ws)
-    db = _setup(ws, data, spec["buffer_pages"], out, common["setup_repeats"])
+    db, io, seconds = _setup(ws, data, spec["buffer_pages"], out, common,
+                             seconds)
     lags: list[float] = []
     counters: dict = {}
     try:
-        plan = schedule(spec, seed + 3, seconds / 2 if spans_path else seconds)
-        _run_schedule(db, data, plan, out, lags, None, counters)
+        plan = schedule(spec, seconds / 2 if spans_path else seconds)
+        _run_schedule(db, io, data, plan, out, lags, None, counters)
         if spans_path:
             lags.clear()
             counters.clear()
             shed_before = out.shed
-            plan = schedule(spec, seed + 4, seconds / 2)
+            plan = schedule(spec, seconds / 2)
 
             def traced(rec):
-                _run_schedule(db, data, plan, out, lags, rec, counters)
-                return len(plan) / sum(spec["block"].values())
+                _run_schedule(db, io, data, plan, out, lags, rec, counters)
+                return len(plan) / len(spec["block"])
 
-            _traced_half(out, db, traced, "setjoin-service-lane", "probe",
+            _traced_half(out, db, io, traced, "setjoin-service-lane", "probe",
                          spans_path)
             out.layers["service.shed"] = out.shed - shed_before
             out.layers["loadgen.lag_s_p90"] = percentile(lags, 0.9)
@@ -451,8 +510,8 @@ def run_service(spec: dict, common: dict, seed: int, seconds: float,
 # Per-layer figures of a traced window
 # ----------------------------------------------------------------------
 
-def _traced_half(out: Outcome, db, body, thread: str, reference: str,
-                 spans_path: str) -> None:
+def _traced_half(out: Outcome, db, io: PhysicalIO, body, thread: str,
+                 reference: str, spans_path: str) -> None:
     """Run ``body(recorder)`` with every layer wrapped and fill in the
     per-layer figures; ``body`` returns how many rounds it ran.  The
     tracing overhead compares the median ``reference`` latency with the
@@ -460,7 +519,7 @@ def _traced_half(out: Outcome, db, body, thread: str, reference: str,
     untraced = statistics.median(out.samples[reference])
     out.samples = {key: [] for key in out.samples}
     rec = Recorder(clock)
-    window = _Window(db)
+    window = _Window(db, io)
     with Tracing(rec) as tracing:
         rounds = body(rec)
     window.close()
@@ -473,17 +532,18 @@ def _traced_half(out: Outcome, db, body, thread: str, reference: str,
 class _Window:
     """Program counters and wall time over one traced window."""
 
-    def __init__(self, db):
+    def __init__(self, db, io: PhysicalIO):
         self.db = db
+        self.physical = io
         self.pool = db.pool.stats.snapshot()
-        self.io = db.disk.stats.snapshot()
+        self.io = io.snapshot()
         self.reg = _registry_values()
         self.started = clock()
 
     def close(self) -> None:
         self.wall = clock() - self.started
         self.pool = self.db.pool.stats.delta(self.pool)
-        self.io = self.db.disk.stats.delta(self.io)
+        self.io = self.physical.delta(self.io)
         reg = _registry_values()
         self.reg = {key: reg[key] - self.reg[key] for key in reg}
 
@@ -547,8 +607,8 @@ def _layer_metrics(rec: Recorder, tracing: Tracing, window: _Window,
         "buffer.fetches": (pool.hits + pool.misses) / rounds,
         "buffer.hit_rate": pool.hit_rate,
         "buffer.evictions": pool.evictions / rounds,
-        "pager.page_reads": io.page_reads / rounds,
-        "pager.page_writes": io.page_writes / rounds,
+        "pager.page_reads": io[0] / rounds,
+        "pager.page_writes": io[1] / rounds,
         "pager.read_s": incl("pager.read"),
         "pager.write_s": incl("pager.write"),
         "wal.commit_s": incl("wal.commit"),

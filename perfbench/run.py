@@ -1,12 +1,12 @@
 """Layer-scale benchmark of the set-containment-join database.
 
-    python3 perfbench/run.py --workload small_sets --seed 1 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload large_sets --seed 1 --seconds 55 --trace 0
 
 Run from the root of a checkout.  Workloads, sizes and rates are in
-``perfbench/workloads.json``; the metric names and units match
+``perfbench/workloads.json``; the metric names and units are read from
 ``BENCHMARK.json``.  ``--trace 0`` measures the end-to-end metrics with
-no instrumentation; ``--trace 1`` measures half the time untraced and
-half with every layer wrapped, and reports the per-layer figures, the
+no instrumentation; ``--trace 1`` runs the workload loop half untraced
+and half with every layer wrapped, and reports the per-layer figures, the
 tracing overhead and the self-time split (also written, with the spans,
 under ``.perfbench/``).
 
@@ -28,29 +28,6 @@ import sys
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 
-END_TO_END = {
-    "setup_s": "s",
-    "join_s_p50": "s",
-    "probe_s_p50": "s",
-    "probe_s_p90": "s",
-    "create_s_p50": "s",
-    "create_s_p90": "s",
-    "peak_rss_mb": "MiB",
-    "success_rate": "ratio",
-    "space_amp": "ratio",
-    "write_amp": "ratio",
-}
-
-_COUNTS = ("partition_store.entries", "relation_store.fetched_tids",
-           "relation_store.scanned_tuples", "btree.calls", "buffer.fetches",
-           "buffer.evictions", "pager.page_reads", "pager.page_writes",
-           "wal.commits", "wal.fsyncs", "service.shed", "service.retries",
-           "operator.comparisons", "operator.candidates")
-_RATIOS = ("optimizer.pred_ratio", "partitioning.repl_factor",
-           "operator.precision", "buffer.hit_rate", "service.busy_share",
-           "trace.overhead_share")
-
-
 #: Inclusive call times reported as shares of the traced join time.
 JOIN_PARTS = ("optimizer.plan_s", "signatures.sign_s", "partitioning.assign_s",
               "partition_store.append_s", "partition_store.scan_s",
@@ -58,18 +35,13 @@ JOIN_PARTS = ("optimizer.plan_s", "signatures.sign_s", "partitioning.assign_s",
               "parallel.join_s")
 
 
-def per_layer_units(names) -> dict:
-    units = {}
-    for name in names:
-        if name in _COUNTS:
-            units[name] = "count"
-        elif name in _RATIOS:
-            units[name] = "ratio"
-        elif name == "wal.bytes":
-            units[name] = "B"
-        else:
-            units[name] = "s"
-    return units
+def declared_units() -> tuple[dict, dict]:
+    """Name -> unit of the end-to-end and the per-layer metrics, as
+    ``BENCHMARK.json`` declares them."""
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
+        bench = json.load(f)
+    return tuple({metric["name"]: metric["unit"] for metric in bench[key]}
+                 for key in ("end_to_end", "per_layer"))
 
 
 def load_spec(toy: bool) -> dict:
@@ -157,10 +129,11 @@ def main(argv=None) -> int:
     print("samples " + json.dumps({k: len(v) for k, v in out.samples.items()}))
     print("counters " + json.dumps(counters, sort_keys=True))
     print("info " + json.dumps(out.info, sort_keys=True))
+    end_to_end_units, per_layer_units = declared_units()
     if args.trace:
         tuples = workload["r"]["size"] + workload["s"]["size"]
         values = per_layer(out, join, tuples)
-        units = per_layer_units(values)
+        units = per_layer_units
         split = dict(out.split, workload=args.workload, seed=args.seed,
                      layers=values)
         path = os.path.join(scratch, f"split-{args.workload}-s{args.seed}.json")
@@ -170,15 +143,19 @@ def main(argv=None) -> int:
             record_split(args.split_out, args.workload, split)
     else:
         values = end_to_end(out)
-        units = END_TO_END
-    for name, value in values.items():
-        print(f"  {name:34s} {value:.6g} {units[name]}")
+        units = end_to_end_units
+    if set(values) != set(units):
+        print("error: measured metrics differ from BENCHMARK.json: "
+              f"{sorted(set(values) ^ set(units))}", file=sys.stderr)
+        return 2
+    for name, unit in units.items():
+        print(f"  {name:34s} {values[name]:.6g} {unit}")
     print(json.dumps({
         "correct": out.wrong == 0,
         "attempted": out.attempted,
         "failed": out.failed,
-        "metrics": {name: {"value": value, "unit": units[name]}
-                    for name, value in values.items()},
+        "metrics": {name: {"value": values[name], "unit": unit}
+                    for name, unit in units.items()},
     }))
     return 0 if out.wrong == 0 else 1
 
