@@ -2,7 +2,8 @@
 open-loop service schedule, with set-up, answer checks and counters.
 
 Each loop returns a :class:`Outcome`: latency samples per operation
-kind, failure counts, the deterministic counter record and, for a traced
+kind with the host-speed reference taken around them (``hostspeed.py``),
+failure counts, the deterministic counter record and, for a traced
 run, the per-layer figures.  ``run.py`` turns it into the result line.
 """
 
@@ -22,6 +23,7 @@ from repro.service import QueryService
 from repro.errors import AdmissionRejected
 
 import inputs
+from hostspeed import HostSpeed
 from tracing import Recorder, Tracing
 
 clock = time.monotonic
@@ -120,8 +122,10 @@ class PhysicalIO:
 
 class Outcome:
     def __init__(self):
-        self.samples: dict[str, list[float]] = {
+        #: kind -> ``(start, seconds)`` of each timed operation
+        self.samples: dict[str, list[tuple[float, float]]] = {
             "setup": [], "join": [], "probe": [], "create": []}
+        self.speed = HostSpeed(clock)
         self.attempted = 0
         self.failed = 0
         self.wrong = 0
@@ -135,6 +139,15 @@ class Outcome:
         if not ok:
             self.failed += 1
             self.wrong += 1
+
+    def times(self, kind: str) -> list[float]:
+        """The ``kind`` samples scaled to the reference host speed."""
+        return [self.speed.scaled(start, seconds)
+                for start, seconds in self.samples[kind]]
+
+    def raw(self, kind: str) -> list[float]:
+        """The ``kind`` samples as measured."""
+        return [seconds for __, seconds in self.samples[kind]]
 
 
 class Inputs:
@@ -192,26 +205,36 @@ def _warm_up(ws: Workspace) -> None:
     gc.freeze()
 
 
-def _setup(ws: Workspace, data: Inputs, buffer_pages: int, out: Outcome,
+def _setup(ws: Workspace, data: Inputs, spec: dict, out: Outcome,
            common: dict, seconds: float):
-    """Time fresh set-ups for ``setup_share`` of the run's ``seconds``, at
-    least ``setup_min`` of them; keep the last database open.  Returns the
-    database and the rest of ``seconds`` for the workload loop (a fixed
-    share, so that a schedule's length does not depend on set-up speed)."""
+    """Time fresh set-ups for the workload's ``setup_share`` of the run's
+    ``seconds``, at least ``setup_min`` of them; keep the last database
+    open.  Returns the database and the rest of ``seconds`` for the
+    workload loop (a fixed share, so that a schedule's length does not
+    depend on set-up speed).  Host-speed reference passes run before,
+    between the two loads of, and after each set-up; the pause between
+    the loads is not part of the set-up's time."""
+    buffer_pages = spec["buffer_pages"]
+    share = spec["setup_share"]
     db = None
-    deadline = clock() + common["setup_share"] * seconds
+    deadline = clock() + share * seconds
     while len(out.samples["setup"]) < common["setup_min"] or clock() < deadline:
         if db is not None:
             db.close()
         path = ws.new_db_path()
+        out.speed.measure(3)
         started = clock()
         db = SetJoinDatabase.open(path, buffer_pages=buffer_pages)
         io = PhysicalIO(db)
         bytes_before = io.bytes_written()
         db.create_relation("R", data.r_rows)
+        loaded_r = clock()
+        out.speed.measure(3)
+        resumed = clock()
         pages_before_s = db.disk.num_pages
         db.create_relation("S", data.s_rows)
-        out.samples["setup"].append(clock() - started)
+        out.samples["setup"].append(
+            (started, loaded_r - started + clock() - resumed))
         out.counters["setup"] = {
             "page_reads": io.reads,
             "page_writes": io.writes,
@@ -221,10 +244,11 @@ def _setup(ws: Workspace, data: Inputs, buffer_pages: int, out: Outcome,
         out.info["data_pages"] = db.disk.num_pages
         stored = os.path.getsize(path) + os.path.getsize(path + ".wal")
         out.info["space_amp"] = stored / data.user_bytes
+    out.speed.measure(3)
     out.info["buffer_pages"] = buffer_pages
     out.info["s_pages_per_buffer_page"] = out.info["s_pages"] / buffer_pages
     out.info["data_pages_per_buffer_page"] = out.info["data_pages"] / buffer_pages
-    return db, io, seconds * (1.0 - common["setup_share"])
+    return db, io, seconds * (1.0 - share)
 
 
 def _join_counters(metrics) -> dict:
@@ -263,6 +287,15 @@ class _Batch:
         self.out.check(test())
         self.rec.exit(frame)
 
+    def _reference(self, passes: int = 1) -> None:
+        """Host-speed reference passes; bench self time in a traced run."""
+        if self.rec is None:
+            self.out.speed.measure(passes)
+            return
+        frame = self.rec.enter("bench.reference")
+        self.out.speed.measure(passes)
+        self.rec.exit(frame)
+
     def round(self, timed: bool) -> dict:
         """One join, its probes and its creates; returns the round's
         deterministic counters."""
@@ -272,28 +305,31 @@ class _Batch:
             self.rec.set_query(self.rounds_run)
         io_before = io.snapshot()
         reg_before = _registry_values()
+        self._reference()
         started = clock()
         pairs, metrics = db.join("R", "S")
         elapsed = clock() - started
         self._checked(lambda: pairs == data.expected_pairs)
         counters = _join_counters(metrics)
         if timed:
-            out.samples["join"].append(elapsed)
+            out.samples["join"].append((started, elapsed))
         for __ in range(self.spec["probes_per_round"]):
             index = self.probe_index % len(data.probes)
             self.probe_index += 1
+            self._reference()
             started = clock()
             tids = db.probe("S", data.probes[index])
             elapsed = clock() - started
             self._checked(lambda: tids == data.expected_probes[index])
             if timed:
-                out.samples["probe"].append(elapsed)
+                out.samples["probe"].append((started, elapsed))
         create_bytes = io.create_bytes
         create_user = 0
         for __ in range(self.spec["creates_per_round"]):
             rows = data.creates[self.create_index % len(data.creates)]
             name = f"c{self.create_index}"
             self.create_index += 1
+            self._reference()
             started = clock()
             count = db.create_relation(name, rows)
             elapsed = clock() - started
@@ -301,7 +337,7 @@ class _Batch:
             create_user += inputs.user_bytes(rows)
             self._checked(lambda: count == len(rows))
             if timed:
-                out.samples["create"].append(elapsed)
+                out.samples["create"].append((started, elapsed))
         reads, writes = io.delta(io_before)
         reg = _registry_values()
         counters.update(
@@ -322,6 +358,7 @@ class _Batch:
             if "round" not in self.out.counters:
                 self.out.counters["round"] = counters
             count += 1
+        self._reference(3)
         return count
 
 
@@ -332,8 +369,7 @@ def run_batch(spec: dict, common: dict, seed: int, seconds: float,
     out = Outcome()
     data = Inputs(spec, common, seed)
     _warm_up(ws)
-    db, io, seconds = _setup(ws, data, spec["buffer_pages"], out, common,
-                             seconds)
+    db, io, seconds = _setup(ws, data, spec, out, common, seconds)
     try:
         batch = _Batch(db, io, data, spec, out)
         batch.round(timed=False)  # warm-up round
@@ -388,6 +424,15 @@ class _Submitted:
         self.drop = None
         self.error = None
 
+    def settled(self) -> bool:
+        return (self.ticket is None or self.ticket.done()) and (
+            self.drop is None or self.drop.done())
+
+
+#: A reference pass starts only if the next submission is due later than
+#: this, so that the pass never delays a submission.
+REFERENCE_MARGIN_S = 0.02
+
 
 def _run_schedule(db, io: PhysicalIO, data: Inputs, plan, out: Outcome,
                   lags: list, rec: Recorder | None, counters: dict) -> None:
@@ -400,9 +445,25 @@ def _run_schedule(db, io: PhysicalIO, data: Inputs, plan, out: Outcome,
     create_bytes = io.create_bytes
     reg_before = _registry_values()
     start = clock() + 0.05
+    pending = 0  # index of the oldest submission that may still be running
     try:
         for offset, kind in plan:
             due = start + offset
+            # host-speed reference passes, only once every submitted
+            # operation has settled and only as many as end well before
+            # the next due time
+            while pending < len(submitted):
+                if submitted[pending].settled():
+                    pending += 1
+                elif due - clock() > REFERENCE_MARGIN_S:
+                    time.sleep(0.005)
+                else:
+                    break
+            passes = 0
+            while (pending == len(submitted) and passes < 3
+                   and due - clock() > REFERENCE_MARGIN_S):
+                out.speed.measure()
+                passes += 1
             delay = due - clock()
             if delay > 0:
                 time.sleep(delay)
@@ -441,7 +502,7 @@ def _run_schedule(db, io: PhysicalIO, data: Inputs, plan, out: Outcome,
                 out.info.setdefault("errors", []).append(repr(error))
                 continue
             latency = item.ticket.query.admitted_at - item.due + item.ticket.seconds
-            out.samples[item.kind].append(latency)
+            out.samples[item.kind].append((item.due, latency))
             if rec is not None:
                 frame = rec.enter("bench.check")
             if item.kind == "join":
@@ -457,6 +518,7 @@ def _run_schedule(db, io: PhysicalIO, data: Inputs, plan, out: Outcome,
                     "create_user_bytes", 0) + inputs.user_bytes(rows)
             if rec is not None:
                 rec.exit(frame)
+        out.speed.measure(3)
     finally:
         service.stop()
     reads, writes = io.delta(io_before)
@@ -475,8 +537,7 @@ def run_service(spec: dict, common: dict, seed: int, seconds: float,
     out = Outcome()
     data = Inputs(spec, common, seed)
     _warm_up(ws)
-    db, io, seconds = _setup(ws, data, spec["buffer_pages"], out, common,
-                             seconds)
+    db, io, seconds = _setup(ws, data, spec, out, common, seconds)
     lags: list[float] = []
     counters: dict = {}
     try:
@@ -516,14 +577,14 @@ def _traced_half(out: Outcome, db, io: PhysicalIO, body, thread: str,
     per-layer figures; ``body`` returns how many rounds it ran.  The
     tracing overhead compares the median ``reference`` latency with the
     untraced half that ran just before."""
-    untraced = statistics.median(out.samples[reference])
+    untraced = statistics.median(out.times(reference))
     out.samples = {key: [] for key in out.samples}
     rec = Recorder(clock)
     window = _Window(db, io)
     with Tracing(rec) as tracing:
         rounds = body(rec)
     window.close()
-    overhead = statistics.median(out.samples[reference]) / untraced - 1.0
+    overhead = statistics.median(out.times(reference)) / untraced - 1.0
     out.layers, out.split = _layer_metrics(rec, tracing, window, rounds,
                                            thread, overhead)
     rec.write_spans(spans_path)

@@ -61,14 +61,13 @@ def load_spec(toy: bool) -> dict:
 def end_to_end(out) -> dict:
     from loops import percentile
 
-    samples = out.samples
     return {
-        "setup_s": statistics.median(samples["setup"]),
-        "join_s_p50": percentile(samples["join"], 0.5),
-        "probe_s_p50": percentile(samples["probe"], 0.5),
-        "probe_s_p90": percentile(samples["probe"], 0.9),
-        "create_s_p50": percentile(samples["create"], 0.5),
-        "create_s_p90": percentile(samples["create"], 0.9),
+        "setup_s": statistics.median(out.times("setup")),
+        "join_s_p50": percentile(out.times("join"), 0.5),
+        "probe_s_p50": percentile(out.times("probe"), 0.5),
+        "probe_s_p90": percentile(out.times("probe"), 0.9),
+        "create_s_p50": percentile(out.times("create"), 0.5),
+        "create_s_p90": percentile(out.times("create"), 0.9),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "success_rate": (out.attempted - out.failed) / out.attempted,
         "space_amp": out.info["space_amp"],
@@ -126,7 +125,11 @@ def main(argv=None) -> int:
     join = counters["round"] if "round" in counters else counters["schedule"]["join"]
     print(f"workload {args.workload} seed {args.seed} seconds {args.seconds:g}"
           f" trace {args.trace}")
-    print("samples " + json.dumps({k: len(v) for k, v in out.samples.items()}))
+    print("samples " + json.dumps({k: len(v) for k, v in out.samples.items()}
+                                  | {"reference": len(out.speed.seconds)}))
+    out.info["reference_s_p50"] = out.speed.median()
+    out.info["unscaled_s_p50"] = {kind: statistics.median(out.raw(kind))
+                                  for kind in out.samples if out.samples[kind]}
     print("counters " + json.dumps(counters, sort_keys=True))
     print("info " + json.dumps(out.info, sort_keys=True))
     end_to_end_units, per_layer_units = declared_units()

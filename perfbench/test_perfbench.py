@@ -9,7 +9,7 @@ emitted with its unit, that every answer checked, that the
 deterministic counter record repeats exactly between the two untraced
 runs, and that the traced split adds up to the traced wall time.  It
 also asserts that the benchmark refuses to run without the program's
-sources next to it.
+sources next to it, and checks the host-speed scaling on fixed passes.
 """
 
 from __future__ import annotations
@@ -83,6 +83,28 @@ def test_workload_at_toy_size(workload):
     assert split["unattributed_s"] >= 0
     total = sum(split["self_s"].values()) + split["unattributed_s"]
     assert math.isclose(total, split["wall_s"], rel_tol=1e-9)
+
+
+def test_host_speed_scaling():
+    sys.path.insert(0, HERE)
+    try:
+        from hostspeed import REFERENCE_SECONDS, HostSpeed
+    finally:
+        sys.path.remove(HERE)
+    speed = HostSpeed(clock=None)
+    # a fast host for ten seconds, then one at half speed
+    speed.at = [0.5 * i for i in range(40)]
+    speed.seconds = [REFERENCE_SECONDS] * 20 + [2 * REFERENCE_SECONDS] * 20
+    assert speed.scaled(2.1, 0.1) == 0.1
+    assert speed.scaled(15.1, 0.2) == 0.1
+    # the passes just before and after an operation, and those inside it
+    assert speed.reference(9.6, 9.9) == 1.5 * REFERENCE_SECONDS
+    assert speed.reference(8.6, 9.9) == 1.25 * REFERENCE_SECONDS
+    # past the last pass, only the last pass counts
+    assert speed.reference(100.0, 101.0) == 2 * REFERENCE_SECONDS
+    ticks = HostSpeed(clock=iter(range(10)).__next__)
+    ticks.measure(2)
+    assert ticks.at == [0.5, 2.5] and ticks.seconds == [1, 1]
 
 
 def test_refuses_without_program_sources(tmp_path):
