@@ -38,7 +38,7 @@ experiments:
 # passes).  Wall-time columns vary per machine; x/y/pages do not.
 ablations:
 	mkdir -p results
-	for id in ablation-alternation ablation-buffer ablation-firing \
+	for id in ablation-alternation ablation-firing \
 		ablation-hash-family ablation-hybrid ablation-modulo \
 		ablation-options ablation-portions ablation-skew; do \
 		$(PYTHON) -m repro.experiments $$id --out results/ || exit 1; \

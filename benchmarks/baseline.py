@@ -85,7 +85,7 @@ def canonical_workloads(scale: float = 1.0) -> list[dict]:
 
 def run_workload(spec: dict, tracer=None) -> dict:
     """Run one canonical workload; returns its snapshot record."""
-    from repro.core.api import containment_join
+    from repro.core import JoinConfig, containment_join
     from repro.data.workloads import uniform_workload
 
     lhs, rhs = uniform_workload(
@@ -99,10 +99,10 @@ def run_workload(spec: dict, tracer=None) -> dict:
     started = time.perf_counter()
     pairs, metrics = containment_join(
         lhs, rhs,
-        algorithm=spec["algorithm"],
-        num_partitions=spec["k"],
-        workers=spec.get("workers", 1),
-        backend=spec.get("backend", "serial"),
+        JoinConfig(
+            algorithm=spec["algorithm"], num_partitions=spec["k"],
+            **{key: spec[key] for key in ("workers", "backend") if key in spec},
+        ),
         tracer=tracer,
     )
     wall = time.perf_counter() - started

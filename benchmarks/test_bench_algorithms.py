@@ -7,7 +7,7 @@ signature nested loop) on the same input, checked for identical output.
 
 import pytest
 
-from repro.analysis.simulate import make_partitioner
+from repro.core import resolve_partitioner
 from repro.core.nested_loop import signature_nested_loop_join
 from repro.core.operator import run_disk_join
 from repro.core.sets import containment_pairs_nested_loop
@@ -32,7 +32,7 @@ def test_bench_disk_algorithm(benchmark, workload, algorithm):
     lhs, rhs, expected = workload
 
     def run():
-        partitioner = make_partitioner(algorithm, K, THETA_R, THETA_S, seed=2)
+        partitioner = resolve_partitioner(algorithm, K, THETA_R, THETA_S, seed=2)
         return run_disk_join(lhs, rhs, partitioner)
 
     result, metrics = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import JoinConfig
 from repro.data.workloads import uniform_workload
 from repro.database import SetJoinDatabase
 
@@ -44,10 +45,12 @@ def test_bench_database_repeated_joins(benchmark, relations):
     with SetJoinDatabase.open() as db:
         db.create_relation("r", lhs)
         db.create_relation("s", rhs)
-        db.join("r", "s", algorithm="PSJ", num_partitions=16)  # warm up
+        db.join("r", "s", JoinConfig(algorithm="PSJ", num_partitions=16))  # warm up
 
         def run():
-            return db.join("r", "s", algorithm="PSJ", num_partitions=16)
+            return db.join(
+                "r", "s", JoinConfig(algorithm="PSJ", num_partitions=16),
+            )
 
         pairs, __ = benchmark.pedantic(run, rounds=3, iterations=1)
         assert len(pairs) >= 4

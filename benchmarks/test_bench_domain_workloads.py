@@ -10,7 +10,7 @@
 
 import pytest
 
-from repro.analysis.simulate import make_partitioner
+from repro.core import resolve_partitioner
 from repro.core.operator import run_disk_join
 from repro.data.workloads import biochemical_workload, text_corpus_workload
 
@@ -38,7 +38,7 @@ def biochemical():
 @pytest.mark.parametrize("algorithm", ["DCJ", "PSJ"])
 def test_bench_text_corpus(benchmark, text_corpus, algorithm):
     lhs, rhs, workload = text_corpus
-    partitioner = make_partitioner(
+    partitioner = resolve_partitioner(
         algorithm, K, workload.theta_r, workload.theta_s, seed=3
     )
     __, metrics = benchmark.pedantic(
@@ -51,7 +51,7 @@ def test_bench_text_corpus(benchmark, text_corpus, algorithm):
 @pytest.mark.parametrize("algorithm", ["DCJ", "PSJ"])
 def test_bench_biochemical(benchmark, biochemical, algorithm):
     lhs, rhs, workload = biochemical
-    partitioner = make_partitioner(
+    partitioner = resolve_partitioner(
         algorithm, K, workload.theta_r, workload.theta_s, seed=3
     )
     __, metrics = benchmark.pedantic(
@@ -66,8 +66,8 @@ def test_biochemical_psj_replication_collapse(biochemical):
     ineffective for such data sets" — on near-genome snapshots PSJ
     replicates each snapshot to essentially every partition."""
     lhs, rhs, workload = biochemical
-    psj = make_partitioner("PSJ", K, workload.theta_r, workload.theta_s, 3)
-    dcj = make_partitioner("DCJ", K, workload.theta_r, workload.theta_s, 3)
+    psj = resolve_partitioner("PSJ", K, workload.theta_r, workload.theta_s, 3)
+    dcj = resolve_partitioner("DCJ", K, workload.theta_r, workload.theta_s, 3)
     __, psj_metrics = run_disk_join(lhs, rhs, psj)
     __, dcj_metrics = run_disk_join(lhs, rhs, dcj)
     s_share = len(rhs) / (len(lhs) + len(rhs))

@@ -7,6 +7,7 @@ join (Section 7 future work).
 
 import pytest
 
+from repro.core import JoinConfig
 from repro.core.intersection import (
     intersection_join,
     intersection_join_nested_loop,
@@ -49,7 +50,9 @@ def test_bench_operator_options(benchmark, workload, label, options):
     lhs, rhs = workload
 
     def run():
-        return run_disk_join(lhs, rhs, PSJPartitioner(32, seed=3), **options)
+        return run_disk_join(
+            lhs, rhs, PSJPartitioner(32, seed=3), JoinConfig(**options),
+        )
 
     result, metrics = benchmark.pedantic(run, rounds=1, iterations=1)
     assert metrics.result_size >= 4

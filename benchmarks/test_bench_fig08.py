@@ -7,7 +7,7 @@ comparison count falls monotonically while replication rises.
 
 import pytest
 
-from repro.analysis.simulate import make_partitioner
+from repro.core import JoinConfig, resolve_partitioner
 from repro.core.operator import run_disk_join
 
 K_VALUES = (2, 8, 32, 128)
@@ -18,9 +18,11 @@ def test_bench_dcj_join_vs_k(benchmark, case_study_relations, k):
     lhs, rhs = case_study_relations
 
     def run():
-        partitioner = make_partitioner("DCJ", k, 50, 100, seed=7)
-        return run_disk_join(lhs, rhs, partitioner, engine="python",
-                             buffer_pages=256)
+        partitioner = resolve_partitioner("DCJ", k, 50, 100, seed=7)
+        return run_disk_join(
+            lhs, rhs, partitioner, JoinConfig(engine="python"),
+            buffer_pages=256,
+        )
 
     result, metrics = benchmark.pedantic(run, rounds=1, iterations=1)
     assert metrics.result_size >= 5  # planted pairs all found
@@ -35,8 +37,10 @@ def test_fig8_shape(case_study_relations):
     lhs, rhs = case_study_relations
     comparisons, replicated = [], []
     for k in K_VALUES:
-        partitioner = make_partitioner("DCJ", k, 50, 100, seed=7)
-        __, metrics = run_disk_join(lhs, rhs, partitioner, engine="numpy")
+        partitioner = resolve_partitioner("DCJ", k, 50, 100, seed=7)
+        __, metrics = run_disk_join(
+            lhs, rhs, partitioner, JoinConfig(engine="numpy"),
+        )
         comparisons.append(metrics.signature_comparisons)
         replicated.append(metrics.replicated_signatures)
     assert comparisons == sorted(comparisons, reverse=True)

@@ -8,7 +8,7 @@ more partition data than DCJ at every matching k.
 
 import pytest
 
-from repro.analysis.simulate import make_partitioner
+from repro.core import JoinConfig, resolve_partitioner
 from repro.core.operator import run_disk_join
 
 K_VALUES = (2, 8, 32, 128)
@@ -19,9 +19,11 @@ def test_bench_psj_join_vs_k(benchmark, case_study_relations, k):
     lhs, rhs = case_study_relations
 
     def run():
-        partitioner = make_partitioner("PSJ", k, 50, 100, seed=7)
-        return run_disk_join(lhs, rhs, partitioner, engine="python",
-                             buffer_pages=256)
+        partitioner = resolve_partitioner("PSJ", k, 50, 100, seed=7)
+        return run_disk_join(
+            lhs, rhs, partitioner, JoinConfig(engine="python"),
+            buffer_pages=256,
+        )
 
     result, metrics = benchmark.pedantic(run, rounds=1, iterations=1)
     assert metrics.result_size >= 5
@@ -34,12 +36,16 @@ def test_fig9_psj_replication_dominates(case_study_relations):
     and its comparison factor barely improves until k is large."""
     lhs, rhs = case_study_relations
     for k in (8, 32, 128):
-        psj = make_partitioner("PSJ", k, 50, 100, seed=7)
-        dcj = make_partitioner("DCJ", k, 50, 100, seed=7)
-        __, psj_metrics = run_disk_join(lhs, rhs, psj, engine="numpy")
-        __, dcj_metrics = run_disk_join(lhs, rhs, dcj, engine="numpy")
+        psj = resolve_partitioner("PSJ", k, 50, 100, seed=7)
+        dcj = resolve_partitioner("DCJ", k, 50, 100, seed=7)
+        __, psj_metrics = run_disk_join(
+            lhs, rhs, psj, JoinConfig(engine="numpy"),
+        )
+        __, dcj_metrics = run_disk_join(
+            lhs, rhs, dcj, JoinConfig(engine="numpy"),
+        )
         assert psj_metrics.replicated_signatures > 2 * dcj_metrics.replicated_signatures
     # comp_PSJ ≈ 0.95 at k=32 (paper): barely below 1.
-    psj = make_partitioner("PSJ", 32, 50, 100, seed=7)
-    __, metrics = run_disk_join(lhs, rhs, psj, engine="numpy")
+    psj = resolve_partitioner("PSJ", 32, 50, 100, seed=7)
+    __, metrics = run_disk_join(lhs, rhs, psj, JoinConfig(engine="numpy"))
     assert metrics.comparison_factor > 0.9

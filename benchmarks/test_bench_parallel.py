@@ -13,7 +13,7 @@ import tempfile
 
 import pytest
 
-from repro.analysis.simulate import make_partitioner
+from repro.core import JoinConfig, resolve_partitioner
 from repro.core.operator import run_disk_join
 from repro.experiments.parallel_scaling import run as parallel_experiment
 
@@ -28,11 +28,11 @@ def test_bench_parallel_join(benchmark, case_study_relations, tmp_path,
     lhs, rhs = case_study_relations
 
     def run():
-        partitioner = make_partitioner(algorithm, 32, 50, 100, seed=7)
+        partitioner = resolve_partitioner(algorithm, 32, 50, 100, seed=7)
         return run_disk_join(
             lhs, rhs, partitioner,
+            JoinConfig(workers=workers, backend="process"),
             path=str(tmp_path / f"{algorithm}-{workers}.db"),
-            workers=workers, backend="process",
         )
 
     result, metrics = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -21,7 +21,7 @@ import random
 
 from repro import PAPER_TIME_MODEL, Relation, choose_plan, run_disk_join
 from repro.analysis.factors import comp_dcj, comp_psj, repl_dcj, repl_psj
-from repro.analysis.simulate import make_partitioner
+from repro.core import resolve_partitioner
 from repro.core.sets import SetTuple
 
 NUM_GENES = 4_000          # scaled-down genome
@@ -66,7 +66,7 @@ def main() -> None:
 
     results = {}
     for algorithm in ("DCJ", "PSJ"):
-        partitioner = make_partitioner(algorithm, 64, theta_r, theta_s, seed=SEED)
+        partitioner = resolve_partitioner(algorithm, 64, theta_r, theta_s, seed=SEED)
         pairs, metrics = run_disk_join(pathways, snapshots, partitioner)
         results[algorithm] = pairs
         print(f"\n{algorithm}: {len(pairs)} fully-active (pathway, snapshot) pairs")

@@ -9,6 +9,7 @@ about: signature comparisons, replicated signatures, false positives.
 Run:  python examples/quickstart.py
 """
 
+from repro.core import JoinConfig
 from repro import (
     DCJPartitioner,
     LSJPartitioner,
@@ -42,7 +43,9 @@ def main() -> None:
         LSJPartitioner(paper_example_family()),   # k = 8, lattice layout
     ]
     for partitioner in partitioners:
-        result, metrics = run_disk_join(r, s, partitioner, signature_bits=4)
+        result, metrics = run_disk_join(
+            r, s, partitioner, JoinConfig(signature_bits=4),
+        )
         named = sorted(
             (SET_NAMES["R"][r_tid], SET_NAMES["S"][s_tid])
             for r_tid, s_tid in result

@@ -17,6 +17,7 @@ Run:  python examples/vendor_parts.py
 
 import random
 
+from repro.core import JoinConfig
 from repro import Relation, run_disk_join
 from repro.core import SetTuple, dcj_with_any_k, recommend_signature_bits
 from repro.core.intersection import intersection_join
@@ -68,7 +69,7 @@ def main() -> None:
     print(f"signature width: {bits} bits (advisor x2 head-room)\n")
     partitioner = dcj_with_any_k(48, theta_r, theta_s)
     single, metrics = run_disk_join(
-        projects, vendors, partitioner, signature_bits=bits
+        projects, vendors, partitioner, JoinConfig(signature_bits=bits),
     )
     suppliable = {project for project, __ in single}
     print(f"single-vendor sourcing (containment join, {partitioner.describe()}):")

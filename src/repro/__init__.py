@@ -20,6 +20,7 @@ Quickstart::
 
 from .core import (
     DCJPartitioner,
+    JoinConfig,
     JoinMetrics,
     JoinPlan,
     LSJPartitioner,
@@ -39,6 +40,7 @@ from .core import (
     hybrid_join,
     naive_join,
     paper_example_family,
+    resolve_partitioner,
     run_disk_join,
     shj_join,
     signature_nested_loop_join,
@@ -62,6 +64,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "DCJPartitioner",
+    "JoinConfig",
     "JoinMetrics",
     "JoinPlan",
     "LSJPartitioner",
@@ -81,6 +84,7 @@ __all__ = [
     "hybrid_join",
     "naive_join",
     "paper_example_family",
+    "resolve_partitioner",
     "run_disk_join",
     "shj_join",
     "signature_nested_loop_join",

@@ -110,6 +110,7 @@ def run_bench(knobs: dict, scale: float = 1.0, seed: int = 11,
     """Execute the canonical suite under one knob dict; returns the
     outcome record (deterministic fields only — the executor owns
     timing and registry accounting)."""
+    from ..core.config import JoinConfig
     from ..data.workloads import uniform_workload
     from ..database import SetJoinDatabase
     from ..service.core import PlanCache
@@ -119,6 +120,7 @@ def run_bench(knobs: dict, scale: float = 1.0, seed: int = 11,
     drift = SYNTHETIC_DRIFT if knobs["drift_corrections"] else None
     plan_cache = PlanCache(8) if knobs["plan_cache"] else None
 
+    config = JoinConfig(workers=knobs["workers"], backend=knobs["backend"])
     extras = {"plans": 0, "plan_pages": 0}
     workloads: dict = {}
 
@@ -127,7 +129,6 @@ def run_bench(knobs: dict, scale: float = 1.0, seed: int = 11,
         with SetJoinDatabase.open(
             path,
             buffer_pages=knobs["buffer_pages"],
-            buffer_policy=knobs["buffer_policy"],
             durable=knobs["durable"],
             verify_checksums=knobs["verify_checksums"],
         ) as db:
@@ -160,11 +161,8 @@ def run_bench(knobs: dict, scale: float = 1.0, seed: int = 11,
                 record = None
                 for __ in range(repeats):
                     pairs, metrics = db.join(
-                        "ablate_r", "ablate_s",
+                        "ablate_r", "ablate_s", config,
                         partitioner=partitioner_for_repeat(),
-                        workers=knobs["workers"],
-                        backend=knobs["backend"],
-                        seed=seed,
                     )
                     digest = _pairs_digest(pairs)
                     if record is not None and digest != record["pairs_digest"]:

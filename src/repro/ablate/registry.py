@@ -2,7 +2,7 @@
 
 Every separable design choice in the system — the paper's (alternation
 heuristic, optimal firing probability, hash-family construction) and the
-repo's own (WAL, checksums, buffer policy and size, drift corrections,
+repo's own (WAL, checksums, buffer size, drift corrections,
 plan cache, parallel backend) — registers here as a :class:`Component`:
 a name, the layer it lives in, the knob it toggles, one or more ablated
 variants, and an **invariance class**:
@@ -54,7 +54,6 @@ BASELINE_KNOBS: dict = {
     "durable": True,            # WAL-wrapped disk manager
     "verify_checksums": True,   # CRC check on every page read
     "buffer_pages": 128,        # buffer-pool capacity (frames)
-    "buffer_policy": "lru",     # replacement policy
     # partitioning (the paper's knobs)
     "family_kind": "bitstring", # monotone hash-family construction
     "firing_scale": 1.0,        # multiplier on the optimal bit-string length b
@@ -161,16 +160,6 @@ register_component(Component(
     "(PR 1); off reverts to best-effort mutate-then-flush",
     invariance=ANSWER_EXACT,
     variants={"off": {"durable": False}},
-))
-
-register_component(Component(
-    name="buffer-policy",
-    layer="storage",
-    description="buffer-pool replacement policy (paper §5 holds it "
-    "constant; the pool also implements clock and fifo)",
-    invariance=ANSWER_EXACT,
-    variants={"clock": {"buffer_policy": "clock"},
-              "fifo": {"buffer_policy": "fifo"}},
 ))
 
 register_component(Component(

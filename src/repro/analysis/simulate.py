@@ -12,17 +12,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from ..core.dcj import DCJPartitioner
-from ..core.lsj import LSJPartitioner
-from ..core.partitioning import PartitionAssignment, Partitioner
-from ..core.psj import PSJPartitioner
+from ..core.config import resolve_partitioner
+from ..core.partitioning import PartitionAssignment
 from ..core.sets import Relation
 from ..errors import ConfigurationError
 from .factors import comparison_factor, replication_factor
 
 __all__ = [
     "FactorObservation",
-    "make_partitioner",
     "simulate_factors",
     "monte_carlo_selectivity",
 ]
@@ -58,24 +55,6 @@ class FactorObservation:
         )
 
 
-def make_partitioner(
-    algorithm: str,
-    k: int,
-    theta_r: float,
-    theta_s: float,
-    seed: int = 0,
-    family_kind: str = "bitstring",
-) -> Partitioner:
-    """Build a tuned partitioner by algorithm name."""
-    if algorithm == "PSJ":
-        return PSJPartitioner(k, seed=seed)
-    if algorithm == "DCJ":
-        return DCJPartitioner.for_cardinalities(k, theta_r, theta_s, family_kind)
-    if algorithm == "LSJ":
-        return LSJPartitioner.for_cardinalities(k, theta_r, theta_s, family_kind)
-    raise ConfigurationError(f"unknown algorithm {algorithm!r}")
-
-
 def simulate_factors(
     algorithm: str,
     lhs: Relation,
@@ -95,7 +74,9 @@ def simulate_factors(
     """
     theta_r = theta_r if theta_r is not None else lhs.average_cardinality()
     theta_s = theta_s if theta_s is not None else rhs.average_cardinality()
-    partitioner = make_partitioner(algorithm, k, theta_r, theta_s, seed, family_kind)
+    partitioner = resolve_partitioner(
+        algorithm, k, theta_r, theta_s, seed, family_kind
+    )
     assignment = PartitionAssignment.compute(partitioner, lhs, rhs)
     rho = len(rhs) / len(lhs) if len(lhs) else 1.0
     return FactorObservation(

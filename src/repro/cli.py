@@ -28,8 +28,14 @@ import sys
 import time
 
 from .analysis.timemodel import PAPER_TIME_MODEL
+from .core.config import (
+    ALGORITHMS,
+    BACKENDS,
+    DEFAULT_PARTITIONS,
+    ENGINES,
+    JoinConfig,
+)
 from .core.optimizer import choose_plan
-from .core.operator import run_disk_join
 from .core.sets import Relation
 from .errors import SetJoinError
 
@@ -53,9 +59,16 @@ def _cmd_join(arguments) -> int:
 
     lhs = load_relation_file(arguments.r_file, "R")
     rhs = load_relation_file(arguments.s_file, "S")
-    algorithm = (
-        "auto" if arguments.algorithm == "auto"
-        else arguments.algorithm.upper()
+    config = JoinConfig(
+        algorithm=(
+            "auto" if arguments.algorithm == "auto"
+            else arguments.algorithm.upper()
+        ),
+        num_partitions=arguments.partitions,
+        signature_bits=arguments.signature_bits,
+        engine=arguments.engine,
+        workers=arguments.workers,
+        backend=arguments.parallel_backend,
     )
     if arguments.drift and not (arguments.analyze or arguments.explain):
         print("error: --drift requires --analyze (or --explain, which "
@@ -95,19 +108,13 @@ def _cmd_join(arguments) -> int:
                   "--shards yet; use the single-database path",
                   file=sys.stderr)
             return 2
-        return _run_sharded_join(arguments, lhs, rhs, algorithm, model)
+        return _run_sharded_join(arguments, lhs, rhs, config, model)
 
     if arguments.explain:
         from .obs.explain import explain_join
 
         report = explain_join(
-            lhs, rhs, algorithm, arguments.partitions,
-            model=model,
-            signature_bits=arguments.signature_bits,
-            engine=arguments.engine,
-            workers=arguments.workers,
-            backend=arguments.parallel_backend,
-            drift_history=drift_history,
+            lhs, rhs, config, model=model, drift_history=drift_history,
         )
         print(report.render())
         return 0
@@ -122,12 +129,8 @@ def _cmd_join(arguments) -> int:
         from .obs.explain import analyze_join
 
         analysis = analyze_join(
-            lhs, rhs, algorithm, arguments.partitions,
+            lhs, rhs, config,
             model=model,
-            signature_bits=arguments.signature_bits,
-            engine=arguments.engine,
-            workers=arguments.workers,
-            backend=arguments.parallel_backend,
             tracer=tracer,
             drift_path=arguments.drift,
             drift_history=drift_history,
@@ -147,29 +150,15 @@ def _cmd_join(arguments) -> int:
                 print(f"# model store: v{store.active_version} written to "
                       f"{store.path}", file=sys.stderr)
     else:
-        if algorithm == "auto":
-            plan = choose_plan(lhs, rhs, model,
-                               drift_history=drift_history)
-            partitioner = plan.build_partitioner()
-            print(f"# planned: {plan.algorithm} with k={plan.k}",
-                  file=sys.stderr)
-        else:
-            from .analysis.simulate import make_partitioner
+        from .core.api import containment_join
 
-            partitioner = make_partitioner(
-                algorithm,
-                arguments.partitions,
-                lhs.average_cardinality() or 1.0,
-                rhs.average_cardinality() or 1.0,
-            )
-        result, metrics = run_disk_join(
-            lhs, rhs, partitioner,
-            signature_bits=arguments.signature_bits,
-            engine=arguments.engine,
-            workers=arguments.workers,
-            backend=arguments.parallel_backend,
-            tracer=tracer,
+        result, metrics = containment_join(
+            lhs, rhs, config, model=model, tracer=tracer,
+            drift_history=drift_history,
         )
+        if config.algorithm == "auto":
+            print(f"# planned: {metrics.algorithm} with "
+                  f"k={metrics.num_partitions}", file=sys.stderr)
         for r_tid, s_tid in sorted(result):
             print(f"{r_tid}\t{s_tid}")
     parallel_note = ""
@@ -179,9 +168,10 @@ def _cmd_join(arguments) -> int:
             f"{arguments.parallel_backend} backend)"
         )
     print(
-        f"# {len(result)} pairs; {metrics.signature_comparisons} signature "
-        f"comparisons, {metrics.replicated_signatures} replicated signatures, "
-        f"{metrics.total_seconds:.3f}s{parallel_note}",
+        f"# {len(result)} pairs ({metrics.algorithm}, "
+        f"k={metrics.num_partitions}); {metrics.signature_comparisons} "
+        f"signature comparisons, {metrics.replicated_signatures} replicated "
+        f"signatures, {metrics.total_seconds:.3f}s{parallel_note}",
         file=sys.stderr,
     )
     if tracer is not None and arguments.trace:
@@ -215,7 +205,7 @@ def _cmd_join(arguments) -> int:
     return 0
 
 
-def _run_sharded_join(arguments, lhs, rhs, algorithm, model) -> int:
+def _run_sharded_join(arguments, lhs, rhs, config, model) -> int:
     """``setjoins join --shards N``: distribute the two relations over N
     in-memory shards and join through the dist coordinator."""
     from .dist import ShardedDatabase
@@ -229,20 +219,13 @@ def _run_sharded_join(arguments, lhs, rhs, algorithm, model) -> int:
         if arguments.explain:
             print(db.explain("R", "S"))
             return 0
-        result, metrics = db.join(
-            "R", "S",
-            algorithm=algorithm,
-            num_partitions=arguments.partitions,
-            signature_bits=arguments.signature_bits,
-            engine=arguments.engine,
-            workers=arguments.workers,
-            backend=arguments.parallel_backend,
-        )
+        result, metrics = db.join("R", "S", config)
         for r_tid, s_tid in sorted(result):
             print(f"{r_tid}\t{s_tid}")
         report = db.last_placement
         print(
-            f"# {len(result)} pairs; {metrics.signature_comparisons} "
+            f"# {len(result)} pairs ({metrics.algorithm}, "
+            f"k={metrics.num_partitions}); {metrics.signature_comparisons} "
             f"signature comparisons, {metrics.replicated_signatures} "
             f"replicated signatures, {metrics.total_seconds:.3f}s "
             f"({arguments.shards} shards, {arguments.shard_fanout} fan-out, "
@@ -786,19 +769,25 @@ def build_parser() -> argparse.ArgumentParser:
     join.add_argument("r_file", help="subset-side sets, one per line")
     join.add_argument("s_file", help="superset-side sets, one per line")
     join.add_argument(
-        "--algorithm", default="auto",
-        choices=["auto", "dcj", "psj", "lsj"],
+        "--algorithm", default=JoinConfig.algorithm,
+        choices=[name.lower() for name in ALGORITHMS],
     )
-    join.add_argument("--partitions", "-k", type=int, default=32)
-    join.add_argument("--signature-bits", type=int, default=160)
-    join.add_argument("--engine", default="numpy", choices=["numpy", "python"])
     join.add_argument(
-        "--workers", type=int, default=1,
+        "--partitions", "-k", type=int, default=JoinConfig.num_partitions,
+        help=f"partition count of a forced algorithm (default "
+        f"{DEFAULT_PARTITIONS}; any k, DCJ/LSJ fold when it is not a "
+        "power of two)",
+    )
+    join.add_argument("--signature-bits", type=int,
+                      default=JoinConfig.signature_bits)
+    join.add_argument("--engine", default=JoinConfig.engine, choices=ENGINES)
+    join.add_argument(
+        "--workers", type=int, default=JoinConfig.workers,
         help="parallel join workers (default 1 = the serial operator)",
     )
     join.add_argument(
         "--parallel-backend", default="process",
-        choices=["serial", "thread", "process"],
+        choices=BACKENDS,
         help="execution backend when --workers > 1 (default process; "
         "falls back to serial where unavailable)",
     )
@@ -959,7 +948,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=2,
                        help="parallel workers per join (default 2)")
     serve.add_argument("--backend", default="thread",
-                       choices=("serial", "thread", "process"),
+                       choices=BACKENDS,
                        help="preferred execution backend; the circuit "
                        "breaker degrades it when it keeps failing")
     serve.add_argument("--shards", type=int, default=None,
@@ -1040,11 +1029,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="open the database as N shards behind the dist coordinator; "
         "an existing FILE.shards.json layout is detected automatically",
     )
-    replay.add_argument("--workers", type=int, default=1,
+    replay.add_argument("--workers", type=int, default=JoinConfig.workers,
                         help="parallel workers per replayed join "
                         "(default 1; answers must match regardless)")
-    replay.add_argument("--backend", default="serial",
-                        choices=("serial", "thread", "process"),
+    replay.add_argument("--backend", default=JoinConfig.backend,
+                        choices=BACKENDS,
                         help="execution backend when --workers > 1")
     replay.add_argument("--json", action="store_true",
                         help="emit the replay report as JSON")

@@ -9,6 +9,7 @@ from .api import (
     set_equality_join,
     superset_join,
 )
+from .config import JoinConfig, resolve_partitioner
 from .dcj import ALTERNATION_PATTERNS, DCJPartitioner
 from .hashing import (
     BitstringHashFamily,
@@ -64,6 +65,8 @@ __all__ = [
     "overlap_join",
     "set_equality_join",
     "superset_join",
+    "JoinConfig",
+    "resolve_partitioner",
     "ALTERNATION_PATTERNS",
     "DCJPartitioner",
     "BitstringHashFamily",

@@ -20,7 +20,7 @@ import time
 from collections import defaultdict
 
 from ..analysis.timemodel import PAPER_TIME_MODEL, TimeModel
-from ..errors import ConfigurationError
+from .config import JoinConfig
 from .intersection import intersection_join as overlap_join
 from .metrics import JoinMetrics
 from .operator import run_disk_join
@@ -38,32 +38,24 @@ __all__ = [
     "analyze_containment_join",
 ]
 
-_ALGORITHMS = ("auto", "DCJ", "PSJ", "LSJ")
-
-
 def containment_join(
     lhs: Relation,
     rhs: Relation,
-    algorithm: str = "auto",
-    num_partitions: int | None = None,
-    signature_bits: int = DEFAULT_SIGNATURE_BITS,
+    config: JoinConfig = JoinConfig(),
+    *,
     model: TimeModel = PAPER_TIME_MODEL,
-    seed: int = 0,
-    workers: int = 1,
-    backend: str = "serial",
     tracer=None,
     drift_history=None,
 ) -> tuple[set[tuple[int, int]], JoinMetrics]:
     """Compute ``{(r.tid, s.tid) : r ⊆ s}``.
 
-    ``algorithm="auto"`` runs the paper's five-step selection procedure;
-    naming an algorithm uses it at ``num_partitions`` (default 32, any
-    value — DCJ/LSJ fold via the modulo approach when it is not a power
-    of two).
-
-    ``workers``/``backend`` run the joining phase on the
-    partition-parallel engine (:mod:`repro.parallel`); results and the
-    paper's x/y counts are identical for any worker count.
+    ``config.algorithm="auto"`` runs the paper's five-step selection
+    procedure; naming an algorithm uses it at ``config.num_partitions``
+    (default 32, any value — DCJ/LSJ fold via the modulo approach when
+    it is not a power of two).  The rest of ``config`` (signature width,
+    engine, parallel workers/backend, Section 6 options) configures the
+    operator; results and the paper's x/y counts are identical for any
+    worker count.
 
     ``tracer`` (a :class:`repro.obs.trace.Tracer`) records a span tree
     of the execution — phases, partition pairs, per-shard worker spans —
@@ -77,33 +69,17 @@ def containment_join(
     pair is chosen, execution — results and x/y accounting — is
     bit-identical with or without the history.
     """
-    if algorithm not in _ALGORITHMS:
-        raise ConfigurationError(
-            f"algorithm must be one of {_ALGORITHMS}, got {algorithm!r}"
-        )
     if not lhs or not rhs:
-        return set(), JoinMetrics(algorithm=algorithm, r_size=len(lhs),
-                                  s_size=len(rhs))
-    if algorithm == "auto":
+        return set(), JoinMetrics(algorithm=config.algorithm,
+                                  r_size=len(lhs), s_size=len(rhs))
+    if config.algorithm == "auto":
         plan = choose_plan(lhs, rhs, model, drift_history=drift_history)
-        partitioner = plan.build_partitioner(seed=seed)
+        partitioner = plan.build_partitioner(seed=config.seed)
     else:
-        from ..analysis.simulate import make_partitioner
-        from .modulo import dcj_with_any_k, lsj_with_any_k
-
-        k = num_partitions or 32
-        theta_r = max(lhs.average_cardinality(), 1.0)
-        theta_s = max(rhs.average_cardinality(), 1.0)
-        if algorithm == "PSJ" or k & (k - 1) == 0 and k >= 2:
-            partitioner = make_partitioner(algorithm, k, theta_r, theta_s, seed)
-        elif algorithm == "DCJ":
-            partitioner = dcj_with_any_k(k, theta_r, theta_s)
-        else:
-            partitioner = lsj_with_any_k(k, theta_r, theta_s)
-    return run_disk_join(
-        lhs, rhs, partitioner, signature_bits=signature_bits,
-        workers=workers, backend=backend, tracer=tracer,
-    )
+        partitioner = config.build_partitioner(
+            lhs.average_cardinality(), rhs.average_cardinality()
+        )
+    return run_disk_join(lhs, rhs, partitioner, config, tracer=tracer)
 
 
 def explain_containment_join(lhs: Relation, rhs: Relation, **kwargs):
@@ -134,34 +110,25 @@ def analyze_containment_join(lhs: Relation, rhs: Relation, **kwargs):
 def superset_join(
     lhs: Relation,
     rhs: Relation,
-    algorithm: str = "auto",
-    num_partitions: int | None = None,
-    signature_bits: int = DEFAULT_SIGNATURE_BITS,
+    config: JoinConfig = JoinConfig(),
+    *,
     model: TimeModel = PAPER_TIME_MODEL,
-    seed: int = 0,
-    workers: int = 1,
-    backend: str = "serial",
     tracer=None,
 ) -> tuple[set[tuple[int, int]], JoinMetrics]:
     """Compute ``{(l.tid, r.tid) : l ⊇ r}`` — containment with the sides
     swapped and the result pairs swapped back."""
     pairs, metrics = containment_join(
-        rhs, lhs, algorithm, num_partitions, signature_bits, model, seed,
-        workers=workers, backend=backend, tracer=tracer,
+        rhs, lhs, config, model=model, tracer=tracer
     )
     return {(l_tid, r_tid) for r_tid, l_tid in pairs}, metrics
 
 
 def self_containment_join(
     relation: Relation,
-    algorithm: str = "auto",
-    num_partitions: int | None = None,
+    config: JoinConfig = JoinConfig(),
+    *,
     strict: bool = True,
-    signature_bits: int = DEFAULT_SIGNATURE_BITS,
     model: TimeModel = PAPER_TIME_MODEL,
-    seed: int = 0,
-    workers: int = 1,
-    backend: str = "serial",
     tracer=None,
 ) -> tuple[set[tuple[int, int]], JoinMetrics]:
     """Containment pairs within one relation: ``{(a, b) : a ⊆ b, a ≠ b}``.
@@ -171,9 +138,7 @@ def self_containment_join(
     trivial reflexive pairs; set it to ``False`` to keep them.
     """
     pairs, metrics = containment_join(
-        relation, relation, algorithm, num_partitions,
-        signature_bits, model, seed,
-        workers=workers, backend=backend, tracer=tracer,
+        relation, relation, config, model=model, tracer=tracer
     )
     if strict:
         pairs = {(a, b) for a, b in pairs if a != b}

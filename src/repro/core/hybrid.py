@@ -25,6 +25,7 @@ from statistics import median
 
 from ..analysis.timemodel import TimeModel
 from ..errors import ConfigurationError
+from .config import JoinConfig
 from .metrics import JoinMetrics
 from .operator import run_disk_join
 from .optimizer import JoinPlan, choose_plan
@@ -68,14 +69,14 @@ def hybrid_join(
     rhs: Relation,
     model: TimeModel,
     tau: int | None = None,
-    signature_bits: int = 160,
-    engine: str = "numpy",
-    seed: int = 0,
+    config: JoinConfig = JoinConfig(),
 ) -> HybridOutcome:
     """Execute the cardinality-split hybrid join.
 
     ``tau`` defaults to the median cardinality across both relations,
     which balances the quadrants; any positive threshold is correct.
+    Each quadrant runs the optimizer's plan under ``config`` (whose own
+    algorithm and partition count are therefore not used).
     """
     if not lhs or not rhs:
         return HybridOutcome(result=set(), tau=tau or 1)
@@ -99,10 +100,8 @@ def hybrid_join(
         if not len(sub_r) or not len(sub_s):
             continue
         plan = choose_plan(sub_r, sub_s, model)
-        partitioner = plan.build_partitioner(seed=seed)
         result, metrics = run_disk_join(
-            sub_r, sub_s, partitioner,
-            signature_bits=signature_bits, engine=engine,
+            sub_r, sub_s, plan.build_partitioner(seed=config.seed), config
         )
         outcome.result |= result
         outcome.quadrants.append((label, plan, metrics))

@@ -42,19 +42,19 @@ from ..storage.buffer import BufferPool
 from ..storage.pager import DiskManager, FileDiskManager, InMemoryDiskManager
 from ..storage.partition_store import PartitionStore
 from ..storage.relation_store import DEFAULT_PAYLOAD_SIZE, RelationStore
+from .config import JoinConfig
 from .metrics import JoinMetrics, PhaseMetrics
 from .partitioning import Partitioner
 from .sets import Relation
-from .signatures import (
-    DEFAULT_SIGNATURE_BITS,
-    bitwise_included,
-    pack_signatures,
-    signature_of,
-)
+from .signatures import pack_signatures, signature_of
 
 __all__ = ["Testbed", "SetContainmentJoin", "run_disk_join", "compare_block"]
 
-ENGINES = ("python", "numpy")
+#: R-side entries compared per in-memory block; a larger partition
+#: re-scans its S side once per block.
+BLOCK_ENTRIES = 200_000
+#: Partition portions read per batch ("to avoid random I/O").
+BATCH_PORTIONS = 8
 
 
 def compare_block(
@@ -116,13 +116,12 @@ class Testbed:
         path: str | None = None,
         page_size: int = 4096,
         buffer_pages: int = 512,
-        buffer_policy: str = "lru",
     ):
         if path is None:
             self.disk: DiskManager = InMemoryDiskManager(page_size)
         else:
             self.disk = FileDiskManager(path, page_size)
-        self.pool = BufferPool(self.disk, capacity=buffer_pages, policy=buffer_policy)
+        self.pool = BufferPool(self.disk, capacity=buffer_pages)
         self.relation_r: RelationStore | None = None
         self.relation_s: RelationStore | None = None
 
@@ -186,16 +185,8 @@ class SetContainmentJoin:
         self,
         testbed: Testbed,
         partitioner: Partitioner,
-        signature_bits: int = DEFAULT_SIGNATURE_BITS,
-        engine: str = "numpy",
-        block_entries: int = 200_000,
-        batch_portions: int = 8,
-        monolithic_partitions: bool = False,
-        resident_partitions: int = 0,
-        spill_candidates: bool = False,
-        verify_per_partition: bool = False,
-        workers: int = 1,
-        parallel_backend: str = "serial",
+        config: JoinConfig = JoinConfig(),
+        *,
         shard_timeout: float | None = None,
         shard_hook=None,
         tracer=None,
@@ -203,8 +194,12 @@ class SetContainmentJoin:
     ):
         """Configure the operator.
 
-        Beyond the core knobs, two implementation options from the
-        paper's Section 6 discussion are available:
+        ``partitioner`` is the exchangeable part; ``config`` holds the
+        conditions that remain equal: signature width, comparison
+        engine, parallel workers/backend and the implementation options
+        from the paper's Section 6 discussion (its algorithm,
+        partition-count and seed fields only matter to the entry points
+        that build a partitioner from them):
 
         * ``resident_partitions`` — keep the first ``m`` partitions of
           both relations permanently in main memory instead of writing
@@ -222,18 +217,15 @@ class SetContainmentJoin:
           the way the paper's testbed does ("After comparing all
           signatures in two partition batches, the identifiers of
           potentially joining tuples ... are sorted, and the
-          corresponding tuples are fetched from disk").  Mutually
-          exclusive with ``spill_candidates``.
+          corresponding tuples are fetched from disk").
 
-        ``workers``/``parallel_backend``/``shard_timeout`` engage the
-        partition-parallel execution engine (:mod:`repro.parallel`):
-        with ``workers > 1`` the joining phase's partition pairs are
-        sharded across workers (largest-partition-first) and executed by
-        the named backend (``"serial"``, ``"thread"`` or ``"process"``).
-        ``workers=1`` (the default) takes the original single-threaded
-        code path untouched.  Parallel execution implies deferred
-        verification, so it is mutually exclusive with
-        ``spill_candidates`` and ``verify_per_partition``.
+        ``workers``/``backend`` engage the partition-parallel execution
+        engine (:mod:`repro.parallel`): with ``workers > 1`` the joining
+        phase's partition pairs are sharded across workers
+        (largest-partition-first) and executed by the named backend
+        (``"serial"``, ``"thread"`` or ``"process"``), each shard within
+        ``shard_timeout`` seconds.  ``workers=1`` (the default) takes the
+        original single-threaded code path untouched.
 
         ``tracer`` is an optional :class:`repro.obs.trace.Tracer`; when
         given (or when an ambient tracer is active, see
@@ -245,47 +237,13 @@ class SetContainmentJoin:
         """
         if testbed.relation_r is None or testbed.relation_s is None:
             raise ConfigurationError("testbed has no loaded relations")
-        if engine not in ENGINES:
-            raise ConfigurationError(f"engine must be one of {ENGINES}, got {engine!r}")
-        if block_entries < 1:
-            raise ConfigurationError("block_entries must be >= 1")
-        if resident_partitions < 0:
-            raise ConfigurationError("resident_partitions must be >= 0")
-        if spill_candidates and verify_per_partition:
-            raise ConfigurationError(
-                "spill_candidates and verify_per_partition are mutually "
-                "exclusive (spilling exists to defer verification)"
-            )
-        if workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        from ..parallel.executor import BACKENDS
-
-        if parallel_backend not in BACKENDS:
-            raise ConfigurationError(
-                f"parallel_backend must be one of {BACKENDS}, "
-                f"got {parallel_backend!r}"
-            )
-        if workers > 1 and (spill_candidates or verify_per_partition):
-            raise ConfigurationError(
-                "parallel execution (workers > 1) defers verification and "
-                "keeps candidates in worker memory; it is mutually "
-                "exclusive with spill_candidates and verify_per_partition"
-            )
         self.testbed = testbed
         self.partitioner = partitioner
-        self.signature_bits = signature_bits
-        self.signature_bytes = (signature_bits + 7) // 8
-        self.engine = engine
-        self.block_entries = block_entries
-        self.batch_portions = batch_portions
-        self.monolithic_partitions = monolithic_partitions
+        self.config = config
+        self.signature_bytes = (config.signature_bits + 7) // 8
         self.resident_partitions = min(
-            resident_partitions, partitioner.num_partitions
+            config.resident_partitions, partitioner.num_partitions
         )
-        self.spill_candidates = spill_candidates
-        self.verify_per_partition = verify_per_partition
-        self.workers = workers
-        self.parallel_backend = parallel_backend
         self.shard_timeout = shard_timeout
         #: optional callable receiving every ShardSpec just before
         #: dispatch; the chaos layer (repro.service.chaos) uses it to arm
@@ -322,7 +280,7 @@ class SetContainmentJoin:
             num_partitions=self.partitioner.num_partitions,
             r_size=len(self.testbed.relation_r),
             s_size=len(self.testbed.relation_s),
-            signature_bits=self.signature_bits,
+            signature_bits=self.config.signature_bits,
         )
         tracer = self.tracer if self.tracer is not None else current_tracer()
         self._run_tracer = tracer
@@ -332,8 +290,8 @@ class SetContainmentJoin:
             k=metrics.num_partitions,
             r_size=metrics.r_size,
             s_size=metrics.s_size,
-            engine=self.engine,
-            workers=self.workers,
+            engine=self.config.engine,
+            workers=self.config.workers,
         )
         if self.query_id is not None:
             root_attrs["query_id"] = self.query_id
@@ -341,13 +299,13 @@ class SetContainmentJoin:
             parts_r, parts_s = self._partition_phase(metrics)
             candidates: _CandidateSink | None = None
             try:
-                if self.verify_per_partition:
+                if self.config.verify_per_partition:
                     result = self._join_and_verify_phase(
                         parts_r, parts_s, metrics
                     )
                     self._drop_partitions(parts_r, parts_s)
                 else:
-                    if self.workers > 1:
+                    if self.config.workers > 1:
                         candidates = self._parallel_join_phase(
                             parts_r, parts_s, metrics
                         )
@@ -420,6 +378,7 @@ class SetContainmentJoin:
         self._resident_s = [[] for __ in range(resident)]
 
         tracer = self._active_tracer()
+        bits = self.config.signature_bits
         self.partitioner.reset_route_stats()
         parts_r: PartitionStore | None = None
         parts_s: PartitionStore | None = None
@@ -430,7 +389,7 @@ class SetContainmentJoin:
                 with tracer.span("partition.scan_r", tuples=metrics.r_size):
                     parts_r = self._make_store()
                     for tid, elements, __ in self.testbed.relation_r.scan():
-                        signature = signature_of(elements, self.signature_bits)
+                        signature = signature_of(elements, bits)
                         for index in self.partitioner.assign_r(elements):
                             if index < resident:
                                 self._resident_r[index].append(
@@ -443,7 +402,7 @@ class SetContainmentJoin:
                 with tracer.span("partition.scan_s", tuples=metrics.s_size):
                     parts_s = self._make_store()
                     for tid, elements, __ in self.testbed.relation_s.scan():
-                        signature = signature_of(elements, self.signature_bits)
+                        signature = signature_of(elements, bits)
                         for index in self.partitioner.assign_s(elements):
                             if index < resident:
                                 self._resident_s[index].append(
@@ -488,7 +447,7 @@ class SetContainmentJoin:
             self.testbed.pool,
             signature_bytes=self.signature_bytes,
             num_partitions=self.partitioner.num_partitions,
-            monolithic=self.monolithic_partitions,
+            monolithic=self.config.monolithic_partitions,
         )
 
     # ------------------------------------------------------------------
@@ -505,7 +464,7 @@ class SetContainmentJoin:
         before = disk.stats.snapshot()
         started = time.perf_counter()
         tracer = self._active_tracer()
-        if self.spill_candidates:
+        if self.config.spill_candidates:
             candidates: _CandidateSink = _SpilledCandidates(self.testbed.pool)
         else:
             candidates = _SetCandidates()
@@ -552,7 +511,7 @@ class SetContainmentJoin:
     ) -> "_CandidateSink":
         """Joining phase over the partition-parallel engine.
 
-        Shards the partition pairs across ``self.workers`` workers
+        Shards the partition pairs across ``config.workers`` workers
         (largest-partition-first), runs them on the configured backend
         and merges the per-worker results deterministically.  The x/y
         accounting is preserved exactly: each partition pair is joined
@@ -567,8 +526,8 @@ class SetContainmentJoin:
         started = time.perf_counter()
         with self._active_tracer().span(
             "phase.join",
-            workers=self.workers,
-            backend=self.parallel_backend,
+            workers=self.config.workers,
+            backend=self.config.backend,
         ) as span:
             pairs, worker_metrics = run_parallel_join(self, parts_r, parts_s)
             candidates = _SetCandidates()
@@ -692,13 +651,13 @@ class SetContainmentJoin:
         """Group the R side of a partition into memory-bounded blocks."""
         if partition < self.resident_partitions:
             entries = self._resident_r[partition]
-            for start in range(0, len(entries), self.block_entries):
-                yield entries[start : start + self.block_entries]
+            for start in range(0, len(entries), BLOCK_ENTRIES):
+                yield entries[start : start + BLOCK_ENTRIES]
             return
         block: list[tuple[int, int]] = []
-        for batch in parts_r.scan_partition_batches(partition, self.batch_portions):
+        for batch in parts_r.scan_partition_batches(partition, BATCH_PORTIONS):
             block.extend(batch)
-            if len(block) >= self.block_entries:
+            if len(block) >= BLOCK_ENTRIES:
                 yield block
                 block = []
         if block:
@@ -710,7 +669,7 @@ class SetContainmentJoin:
         if partition < self.resident_partitions:
             yield self._resident_s[partition]
             return
-        yield from parts_s.scan_partition_batches(partition, self.batch_portions)
+        yield from parts_s.scan_partition_batches(partition, BATCH_PORTIONS)
 
     def _join_block(
         self,
@@ -721,8 +680,8 @@ class SetContainmentJoin:
         candidates: "_CandidateSink",
     ) -> None:
         metrics.signature_comparisons += compare_block(
-            self.engine,
-            self.signature_bits,
+            self.config.engine,
+            self.config.signature_bits,
             r_block,
             self._s_batches(parts_s, partition),
             candidates.add,
@@ -843,30 +802,22 @@ def run_disk_join(
     lhs: Relation,
     rhs: Relation,
     partitioner: Partitioner,
-    signature_bits: int = DEFAULT_SIGNATURE_BITS,
-    engine: str = "numpy",
+    config: JoinConfig = JoinConfig(),
+    *,
     buffer_pages: int = 512,
-    buffer_policy: str = "lru",
     payload_size: int = DEFAULT_PAYLOAD_SIZE,
     path: str | None = None,
-    monolithic_partitions: bool = False,
-    resident_partitions: int = 0,
-    spill_candidates: bool = False,
-    verify_per_partition: bool = False,
-    workers: int = 1,
-    backend: str = "serial",
-    shard_timeout: float | None = None,
-    tracer=None,
     shards: int = 1,
     shard_fanout: str = "thread",
+    shard_timeout: float | None = None,
+    tracer=None,
 ) -> tuple[set[tuple[int, int]], JoinMetrics]:
     """Convenience wrapper: build a testbed, load, join, tear down.
 
-    ``workers``/``backend`` run the joining phase on the
-    partition-parallel engine (see :mod:`repro.parallel`); the result
-    set and the paper's x/y counts are identical for any worker count.
-    ``shards > 1`` distributes the relations across that many
-    independent in-memory databases behind the dist coordinator
+    ``config`` configures the operator as on :class:`SetContainmentJoin`;
+    the result set and the paper's x/y counts are identical for any
+    worker count.  ``shards > 1`` distributes the relations across that
+    many independent in-memory databases behind the dist coordinator
     (:mod:`repro.dist`) instead, with ``shard_fanout`` selecting the
     coordinator-level dispatch; results and x/y stay bit-identical.
     ``tracer`` enables span tracing of the run (see :mod:`repro.obs`).
@@ -875,33 +826,19 @@ def run_disk_join(
         from ..dist.coordinator import ShardedDatabase
 
         with ShardedDatabase.open(
-            None, shards=shards, fanout=shard_fanout,
-            buffer_pages=buffer_pages, buffer_policy=buffer_policy,
+            None, shards=shards, fanout=shard_fanout, buffer_pages=buffer_pages,
         ) as db:
             db.create_relation(lhs.name or "R", lhs)
             db.create_relation(rhs.name or "S", rhs)
             return db.join(
-                lhs.name or "R", rhs.name or "S",
-                signature_bits=signature_bits, engine=engine,
-                workers=workers, backend=backend,
-                shard_timeout=shard_timeout, tracer=tracer,
-                partitioner=partitioner,
+                lhs.name or "R", rhs.name or "S", config,
+                partitioner=partitioner, shard_timeout=shard_timeout,
+                tracer=tracer,
             )
-    with Testbed(path=path, buffer_pages=buffer_pages,
-                 buffer_policy=buffer_policy) as testbed:
+    with Testbed(path=path, buffer_pages=buffer_pages) as testbed:
         testbed.load(lhs, rhs, payload_size=payload_size)
         join = SetContainmentJoin(
-            testbed,
-            partitioner,
-            signature_bits=signature_bits,
-            engine=engine,
-            monolithic_partitions=monolithic_partitions,
-            resident_partitions=resident_partitions,
-            spill_candidates=spill_candidates,
-            verify_per_partition=verify_per_partition,
-            workers=workers,
-            parallel_backend=backend,
-            shard_timeout=shard_timeout,
-            tracer=tracer,
+            testbed, partitioner, config,
+            shard_timeout=shard_timeout, tracer=tracer,
         )
         return join.run()

@@ -40,10 +40,8 @@ from ..analysis.factors import (
 )
 from ..analysis.timemodel import TimeModel
 from ..errors import ConfigurationError
-from .dcj import DCJPartitioner
-from .lsj import LSJPartitioner
+from .config import resolve_partitioner
 from .partitioning import Partitioner
-from .psj import PSJPartitioner
 from .sets import Relation
 
 __all__ = [
@@ -167,17 +165,9 @@ class JoinPlan:
 
     def build_partitioner(self, seed: int = 0, family_kind: str = "bitstring") -> Partitioner:
         """Instantiate the chosen algorithm at the chosen k."""
-        if self.algorithm == "PSJ":
-            return PSJPartitioner(self.k, seed=seed)
-        if self.algorithm == "DCJ":
-            return DCJPartitioner.for_cardinalities(
-                self.k, self.theta_r, self.theta_s, family_kind
-            )
-        if self.algorithm == "LSJ":
-            return LSJPartitioner.for_cardinalities(
-                self.k, self.theta_r, self.theta_s, family_kind
-            )
-        raise ConfigurationError(f"unknown algorithm {self.algorithm!r}")
+        return resolve_partitioner(
+            self.algorithm, self.k, self.theta_r, self.theta_s, seed, family_kind
+        )
 
 
 def resolve_drift_corrections(drift_history) -> "dict[str, float]":

@@ -24,11 +24,11 @@ from contextlib import contextmanager
 from typing import Iterable, Iterator
 
 from .analysis.timemodel import PAPER_TIME_MODEL, TimeModel
+from .core.config import JoinConfig
 from .core.metrics import JoinMetrics
 from .core.operator import SetContainmentJoin, Testbed
 from .core.optimizer import JoinPlan, plan_from_statistics
 from .core.sets import Relation, SetTuple
-from .core.signatures import DEFAULT_SIGNATURE_BITS
 from .errors import ConfigurationError
 from .storage.buffer import BufferPool
 from .storage.catalog import Catalog
@@ -60,7 +60,6 @@ class SetJoinDatabase:
         path: str | None = None,
         page_size: int = 4096,
         buffer_pages: int = 512,
-        buffer_policy: str = "lru",
         model: TimeModel = PAPER_TIME_MODEL,
         durable: bool = True,
         disk: DiskManager | None = None,
@@ -82,8 +81,7 @@ class SetJoinDatabase:
             self.disk: DiskManager = WALDiskManager(disk, wal)
         else:
             self.disk = disk
-        self.pool = BufferPool(self.disk, capacity=buffer_pages,
-                               policy=buffer_policy)
+        self.pool = BufferPool(self.disk, capacity=buffer_pages)
         # ``model_store`` (a path or a ModelStore) plugs the database into
         # the closed calibration loop: planning always uses the store's
         # freshest recalibrated model instead of the static constants.
@@ -272,15 +270,18 @@ class SetJoinDatabase:
         """EXPLAIN text for the join of two stored relations."""
         return self.plan(r_name, s_name).explain()
 
+    def _partitioner(self, r_name: str, s_name: str, config: JoinConfig):
+        """The partitioner ``config`` runs over two stored relations: the
+        optimizer's choice under ``"auto"``, else the forced algorithm
+        tuned to the relations' sampled cardinalities."""
+        if config.algorithm == "auto":
+            return self.plan(r_name, s_name).build_partitioner(seed=config.seed)
+        __, theta_r = self._statistics(r_name)
+        __, theta_s = self._statistics(s_name, seed=1)
+        return config.build_partitioner(theta_r, theta_s)
+
     def explain_plan(
-        self,
-        r_name: str,
-        s_name: str,
-        algorithm: str = "auto",
-        num_partitions: int | None = None,
-        signature_bits: int = DEFAULT_SIGNATURE_BITS,
-        engine: str = "numpy",
-        seed: int = 0,
+        self, r_name: str, s_name: str, config: JoinConfig = JoinConfig(),
     ):
         """The annotated predicted plan tree for a join of stored relations.
 
@@ -295,50 +296,34 @@ class SetJoinDatabase:
         self._check_open()
         r_size, theta_r = self._statistics(r_name)
         s_size, theta_s = self._statistics(s_name, seed=1)
-        if algorithm == "auto":
+        if config.algorithm == "auto":
             plan = plan_from_statistics(
                 r_size, s_size, theta_r, theta_s, self.model
             )
             algorithm, k = plan.algorithm, plan.k
-            partitioner = plan.build_partitioner(seed=seed)
+            partitioner = plan.build_partitioner(seed=config.seed)
         else:
-            from .core.modulo import dcj_with_any_k, lsj_with_any_k
-            from .core.psj import PSJPartitioner
-
-            k = num_partitions or 32
+            algorithm, k = config.algorithm, config.k
+            partitioner = config.build_partitioner(theta_r, theta_s)
             theta_r = max(theta_r, 1.0)
             theta_s = max(theta_s, 1.0)
-            if algorithm == "PSJ":
-                partitioner = PSJPartitioner(k, seed=seed)
-            elif algorithm == "DCJ":
-                partitioner = dcj_with_any_k(k, theta_r, theta_s)
-            elif algorithm == "LSJ":
-                partitioner = lsj_with_any_k(k, theta_r, theta_s)
-            else:
-                raise ConfigurationError(f"unknown algorithm {algorithm!r}")
         return build_plan_from_statistics(
             algorithm, k, r_size, s_size, max(theta_r, 1e-9),
             max(theta_s, 1e-9), self.model, partitioner=partitioner,
-            signature_bits=signature_bits, engine=engine,
-            page_size=self.disk.page_size,
+            config=config, page_size=self.disk.page_size,
         )
 
     def join(
         self,
         r_name: str,
         s_name: str,
-        algorithm: str = "auto",
-        num_partitions: int | None = None,
-        signature_bits: int = DEFAULT_SIGNATURE_BITS,
-        engine: str = "numpy",
-        seed: int = 0,
-        workers: int = 1,
-        backend: str = "serial",
+        config: JoinConfig = JoinConfig(),
+        *,
+        partitioner=None,
         shard_timeout: float | None = None,
         shard_hook=None,
         tracer=None,
         query_id: int | None = None,
-        partitioner=None,
     ) -> tuple[set[tuple[int, int]], JoinMetrics]:
         """Set containment join of two stored relations (R ⊆ S side order).
 
@@ -346,47 +331,25 @@ class SetJoinDatabase:
         written into the same file and reclaimed afterwards.  ``tracer``
         records a span tree of the run (see :mod:`repro.obs`).
 
-        ``workers``/``backend``/``shard_timeout`` engage the
-        partition-parallel engine exactly as on
+        ``config`` configures the run exactly as on
         :class:`~repro.core.operator.SetContainmentJoin`; the query
         service uses ``shard_timeout`` to propagate per-query deadlines
-        down to the shard level and ``shard_hook`` to inject chaos.
-        Results are bit-identical at any worker count.
+        down to the parallel engine's shards and ``shard_hook`` to inject
+        chaos.  Results are bit-identical at any worker count.
 
         ``partitioner`` bypasses planning entirely: the given partitioner
         runs as-is with no statistics sampling (the ablation harness uses
         this to pin the physical plan while varying one knob).
         """
         self._check_open()
-        if partitioner is not None:
-            pass
-        elif algorithm == "auto":
-            partitioner = self.plan(r_name, s_name).build_partitioner(seed=seed)
-        else:
-            from .core.modulo import dcj_with_any_k, lsj_with_any_k
-            from .core.psj import PSJPartitioner
-
-            k = num_partitions or 32
-            __, theta_r = self._statistics(r_name)
-            __, theta_s = self._statistics(s_name, seed=1)
-            theta_r = max(theta_r, 1.0)
-            theta_s = max(theta_s, 1.0)
-            if algorithm == "PSJ":
-                partitioner = PSJPartitioner(k, seed=seed)
-            elif algorithm == "DCJ":
-                partitioner = dcj_with_any_k(k, theta_r, theta_s)
-            elif algorithm == "LSJ":
-                partitioner = lsj_with_any_k(k, theta_r, theta_s)
-            else:
-                raise ConfigurationError(f"unknown algorithm {algorithm!r}")
+        if partitioner is None:
+            partitioner = self._partitioner(r_name, s_name, config)
         testbed = Testbed.from_components(
             self.disk, self.pool, self.get_store(r_name), self.get_store(s_name)
         )
         join = SetContainmentJoin(
-            testbed, partitioner, signature_bits=signature_bits,
-            engine=engine, workers=workers, parallel_backend=backend,
-            shard_timeout=shard_timeout, shard_hook=shard_hook,
-            tracer=tracer, query_id=query_id,
+            testbed, partitioner, config, shard_timeout=shard_timeout,
+            shard_hook=shard_hook, tracer=tracer, query_id=query_id,
         )
         pairs, metrics = join.run(cold_cache=False)
         # Publish to the process registry so long-lived sessions (and the

@@ -45,6 +45,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, Iterator
 
 from ..analysis.timemodel import PAPER_TIME_MODEL, TimeModel
+from ..core.config import JoinConfig
 from ..core.metrics import JoinMetrics, PhaseMetrics
 from ..core.optimizer import JoinPlan, plan_from_statistics
 from ..core.sets import Relation, SetTuple
@@ -371,30 +372,18 @@ class ShardedDatabase:
     # The distributed join
     # ------------------------------------------------------------------
 
-    def _build_partitioner(
-        self, r_name: str, s_name: str, algorithm: str,
-        num_partitions: "int | None", seed: int,
-    ):
-        if algorithm == "auto":
-            plan = self.plan(r_name, s_name)
-            return deterministic_partitioner(
-                plan.build_partitioner(seed=seed)
+    def _partitioner(self, r_name: str, s_name: str, config: JoinConfig):
+        """The partitioner ``config`` runs, made content-deterministic
+        so the coordinator and every shard route each row alike."""
+        if config.algorithm == "auto":
+            partitioner = self.plan(r_name, s_name).build_partitioner(
+                seed=config.seed
             )
-        from ..core.modulo import dcj_with_any_k, lsj_with_any_k
-        from ..core.psj import PSJPartitioner
-
-        k = num_partitions or 32
-        __, theta_r = self._statistics(r_name)
-        __, theta_s = self._statistics(s_name)
-        theta_r = max(theta_r, 1.0)
-        theta_s = max(theta_s, 1.0)
-        if algorithm == "PSJ":
-            return deterministic_partitioner(PSJPartitioner(k, seed=seed))
-        if algorithm == "DCJ":
-            return dcj_with_any_k(k, theta_r, theta_s)
-        if algorithm == "LSJ":
-            return lsj_with_any_k(k, theta_r, theta_s)
-        raise ConfigurationError(f"unknown algorithm {algorithm!r}")
+        else:
+            __, theta_r = self._statistics(r_name)
+            __, theta_s = self._statistics(s_name)
+            partitioner = config.build_partitioner(theta_r, theta_s)
+        return deterministic_partitioner(partitioner)
 
     def _place(
         self, r_name: str, s_name: str, partitioner,
@@ -460,17 +449,12 @@ class ShardedDatabase:
         self,
         r_name: str,
         s_name: str,
-        algorithm: str = "auto",
-        num_partitions: "int | None" = None,
-        signature_bits: int = DEFAULT_SIGNATURE_BITS,
-        engine: str = "numpy",
-        seed: int = 0,
-        workers: int = 1,
-        backend: str = "serial",
+        config: JoinConfig = JoinConfig(),
+        *,
+        partitioner=None,
         shard_timeout: "float | None" = None,
         shard_hook=None,
         tracer=None,
-        partitioner=None,
         query_id: "int | None" = None,
     ) -> tuple[set[tuple[int, int]], JoinMetrics]:
         """Distributed set containment join; same contract as
@@ -484,9 +468,7 @@ class ShardedDatabase:
         """
         self._check_open()
         if partitioner is None:
-            partitioner = self._build_partitioner(
-                r_name, s_name, algorithm, num_partitions, seed
-            )
+            partitioner = self._partitioner(r_name, s_name, config)
         else:
             partitioner = deterministic_partitioner(partitioner)
         tracer = tracer if tracer is not None else current_tracer()
@@ -503,7 +485,7 @@ class ShardedDatabase:
         with use_tracer(tracer), tracer.span("dist.join", **root_attrs) as root:
             placement_started = time.perf_counter()
             planner, rows_by_shard = self._place(
-                r_name, s_name, partitioner, signature_bits
+                r_name, s_name, partitioner, config.signature_bits
             )
             report = planner.report()
             summaries = {s.shard_id: s for s in planner.summaries}
@@ -513,10 +495,7 @@ class ShardedDatabase:
                     s_name=s_name,
                     r_rows=rows,
                     partitioner=copy.deepcopy(partitioner),
-                    signature_bits=signature_bits,
-                    engine=engine,
-                    workers=workers,
-                    backend=backend,
+                    config=config,
                     shard_timeout=shard_timeout,
                     shard_hook=shard_hook,
                     trace=tracer.enabled,
@@ -551,7 +530,7 @@ class ShardedDatabase:
             pairs.sort()
             metrics = self._merge_metrics(
                 responses, planner, report, partitioner,
-                signature_bits, placement_seconds, fanout_seconds,
+                config.signature_bits, placement_seconds, fanout_seconds,
                 time.perf_counter() - merge_started,
             )
             self.last_placement = report

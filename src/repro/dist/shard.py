@@ -25,6 +25,7 @@ import os
 from contextlib import suppress
 from dataclasses import dataclass, field
 
+from ..core.config import JoinConfig
 from ..core.operator import SetContainmentJoin, Testbed
 from ..core.signatures import DEFAULT_SIGNATURE_BITS
 from ..database import SetJoinDatabase
@@ -50,10 +51,7 @@ class ShardJoinRequest:
     s_name: str
     r_rows: "list[tuple[int, frozenset[int]]]"
     partitioner: object
-    signature_bits: int = DEFAULT_SIGNATURE_BITS
-    engine: str = "numpy"
-    workers: int = 1
-    backend: str = "serial"
+    config: JoinConfig
     shard_timeout: "float | None" = None
     shard_hook: object = None
     #: build a span tree for this shard join and ship it back in the
@@ -174,10 +172,7 @@ class Shard:
             join = SetContainmentJoin(
                 testbed,
                 request.partitioner,
-                signature_bits=request.signature_bits,
-                engine=request.engine,
-                workers=request.workers,
-                parallel_backend=request.backend,
+                request.config,
                 shard_timeout=request.shard_timeout,
                 shard_hook=request.shard_hook,
                 tracer=tracer,

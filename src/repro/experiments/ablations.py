@@ -8,8 +8,6 @@
   optimum q* = λ/(1+λ) (Section 3, "Optimal hash functions").
 * ``ablation-portions`` — portioned partition records vs the paper's
   rejected monolithic-record design (Section 5, footnote 6).
-* ``ablation-buffer`` — buffer replacement policies (held "identical for
-  every algorithm" in the paper; varied here).
 * ``ablation-hybrid`` — the future-work cardinality-split hybrid vs plain
   DCJ and PSJ (Section 7).
 """
@@ -18,7 +16,7 @@ from __future__ import annotations
 
 import time
 
-from ..analysis.simulate import make_partitioner
+from ..core.config import JoinConfig, resolve_partitioner
 from ..analysis.timemodel import PAPER_TIME_MODEL
 from ..core.dcj import DCJPartitioner
 from ..core.hashing import (
@@ -37,7 +35,6 @@ __all__ = [
     "run_hash_family",
     "run_firing",
     "run_portions",
-    "run_buffer",
     "run_hybrid",
 ]
 
@@ -193,11 +190,12 @@ def run_portions(k: int = 64, seed: int = 9, clock=None) -> ExperimentResult:
     )
     outcomes = {}
     for layout, monolithic in (("portioned", False), ("monolithic", True)):
-        partitioner = make_partitioner(*partitioner_args, seed=seed)
+        partitioner = resolve_partitioner(*partitioner_args, seed=seed)
         started = clock()
         try:
             pairs, metrics = run_disk_join(
-                lhs, rhs, partitioner, monolithic_partitions=monolithic
+                lhs, rhs, partitioner,
+                JoinConfig(monolithic_partitions=monolithic),
             )
             row = {
                 "layout": layout,
@@ -237,51 +235,16 @@ def run_portions(k: int = 64, seed: int = 9, clock=None) -> ExperimentResult:
     return result
 
 
-@register("ablation-buffer")
-def run_buffer(k: int = 32, seed: int = 9,
-               buffer_pages: int = 48) -> ExperimentResult:
-    """Buffer replacement policy under a tight memory budget."""
-    lhs, rhs = _default_workload(seed)
-    result = ExperimentResult(
-        experiment_id="ablation-buffer",
-        title=f"Buffer replacement policies ({buffer_pages} pages)",
-        columns=["policy", "t_total_s", "page_reads", "page_writes"],
-    )
-    for policy in ("lru", "clock", "fifo"):
-        partitioner = make_partitioner("DCJ", k, 25, 50, seed=seed)
-        __, metrics = run_disk_join(
-            lhs, rhs, partitioner,
-            buffer_pages=buffer_pages, buffer_policy=policy,
-        )
-        result.rows.append(
-            {
-                "policy": policy,
-                "t_total_s": metrics.total_seconds,
-                "page_reads": metrics.total_page_reads,
-                "page_writes": metrics.total_page_writes,
-            }
-        )
-    reads = [row["page_reads"] for row in result.rows]
-    result.check("all three policies complete with comparable I/O (≤2x)",
-                 max(reads) <= 2 * max(1, min(reads)))
-    result.paper_claims = [
-        "The paper holds the buffer management policy constant across "
-        "algorithms; this ablation varies it to show the operator's I/O "
-        "pattern (sequential portion scans) is policy-insensitive.",
-    ]
-    return result
-
-
 @register("ablation-options")
 def run_options(k: int = 32, seed: int = 9) -> ExperimentResult:
     """The Section 6 implementation options: resident partitions and
     candidate spilling, against the plain operator."""
     lhs, rhs = _default_workload(seed)
     configurations = (
-        ("baseline", {}),
-        ("resident=k/2", {"resident_partitions": k // 2}),
-        ("resident=k", {"resident_partitions": k}),
-        ("spill candidates", {"spill_candidates": True}),
+        ("baseline", JoinConfig()),
+        ("resident=k/2", JoinConfig(resident_partitions=k // 2)),
+        ("resident=k", JoinConfig(resident_partitions=k)),
+        ("spill candidates", JoinConfig(spill_candidates=True)),
     )
     result = ExperimentResult(
         experiment_id="ablation-options",
@@ -290,9 +253,9 @@ def run_options(k: int = 32, seed: int = 9) -> ExperimentResult:
                  "resident_signatures", "page_writes", "results"],
     )
     reference = None
-    for label, options in configurations:
-        partitioner = make_partitioner("DCJ", k, 25, 50, seed=seed)
-        pairs, metrics = run_disk_join(lhs, rhs, partitioner, **options)
+    for label, config in configurations:
+        partitioner = resolve_partitioner("DCJ", k, 25, 50, seed=seed)
+        pairs, metrics = run_disk_join(lhs, rhs, partitioner, config)
         reference = pairs if reference is None else reference
         assert pairs == reference
         result.rows.append(
@@ -491,7 +454,7 @@ def run_hybrid(seed: int = 9) -> ExperimentResult:
     )
     reference = None
     for algorithm in ("DCJ", "PSJ"):
-        partitioner = make_partitioner(algorithm, 64,
+        partitioner = resolve_partitioner(algorithm, 64,
                                        lhs.average_cardinality(),
                                        rhs.average_cardinality(), seed=seed)
         pairs, metrics = run_disk_join(lhs, rhs, partitioner)
@@ -505,7 +468,9 @@ def run_hybrid(seed: int = 9) -> ExperimentResult:
                 "results": metrics.result_size,
             }
         )
-    outcome = hybrid_join(lhs, rhs, PAPER_TIME_MODEL, seed=seed)
+    outcome = hybrid_join(
+        lhs, rhs, PAPER_TIME_MODEL, config=JoinConfig(seed=seed),
+    )
     result.rows.append(
         {
             "algorithm": f"Hybrid(τ={outcome.tau})",

@@ -9,7 +9,7 @@ the orders-of-magnitude structure is visible in a single table.
 
 from __future__ import annotations
 
-from ..analysis.simulate import make_partitioner
+from ..core.config import resolve_partitioner
 from ..core.nested_loop import naive_join, signature_nested_loop_join
 from ..core.operator import run_disk_join
 from ..core.shj import shj_join
@@ -67,7 +67,7 @@ def run(size: int = 400, theta_r: int = 20, theta_s: int = 40,
     add("SHJ", metrics, "probe hits", metrics.signature_comparisons)
 
     for algorithm in ("PSJ", "DCJ"):
-        partitioner = make_partitioner(algorithm, k, theta_r, theta_s,
+        partitioner = resolve_partitioner(algorithm, k, theta_r, theta_s,
                                        seed=seed)
         pairs, metrics = run_disk_join(lhs, rhs, partitioner)
         assert pairs == reference

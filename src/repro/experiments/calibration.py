@@ -9,7 +9,7 @@ c2 = 8.28197e-7, c3 = 0.691485 on its hardware).
 
 from __future__ import annotations
 
-from ..analysis.simulate import make_partitioner
+from ..core.config import JoinConfig, resolve_partitioner
 from ..analysis.timemodel import CalibrationSample, TimeModel, calibrate
 from ..core.operator import run_disk_join
 from ..data.workloads import uniform_workload
@@ -46,10 +46,12 @@ def collect_samples(
         lhs, rhs = workload.materialize()
         for algorithm in algorithms:
             for k in k_values:
-                partitioner = make_partitioner(
+                partitioner = resolve_partitioner(
                     algorithm, k, theta_r, theta_s, seed=seed
                 )
-                __, metrics = run_disk_join(lhs, rhs, partitioner, engine=engine)
+                __, metrics = run_disk_join(
+                    lhs, rhs, partitioner, JoinConfig(engine=engine),
+                )
                 samples.append(CalibrationSample.from_metrics(metrics))
     return samples
 

@@ -20,7 +20,7 @@ CPU side of the trade-off.
 
 from __future__ import annotations
 
-from ..analysis.simulate import make_partitioner
+from ..core.config import JoinConfig, resolve_partitioner
 from ..core.operator import run_disk_join
 from ..data.workloads import case_study as case_study_workload
 from .base import ExperimentResult, register
@@ -49,11 +49,12 @@ def sweep_partition_counts(
         totals = {"partition": 0.0, "join": 0.0, "verify": 0.0}
         last_metrics = None
         for repeat in range(repeats):
-            partitioner = make_partitioner(
+            partitioner = resolve_partitioner(
                 algorithm, k, THETA_R, THETA_S, seed=seed + repeat
             )
             __, metrics = run_disk_join(
-                lhs, rhs, partitioner, engine=engine, buffer_pages=buffer_pages
+                lhs, rhs, partitioner, JoinConfig(engine=engine),
+                buffer_pages=buffer_pages,
             )
             totals["partition"] += metrics.partitioning.seconds
             totals["join"] += metrics.joining.seconds

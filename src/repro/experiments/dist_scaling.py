@@ -21,7 +21,7 @@ import os
 import tempfile
 import time
 
-from ..analysis.simulate import make_partitioner
+from ..core.config import JoinConfig, resolve_partitioner
 from ..data.workloads import case_study
 from ..dist import ShardedDatabase, deterministic_partitioner
 from .base import ExperimentResult, register
@@ -58,7 +58,7 @@ def run(
                 # The coordinator would sanitize the partitioner itself;
                 # doing it here keeps the shards=1 baseline and the
                 # multi-shard runs on the identical assignment function.
-                partitioner = deterministic_partitioner(make_partitioner(
+                partitioner = deterministic_partitioner(resolve_partitioner(
                     algorithm, K, THETA_R, THETA_S, seed=seed
                 ))
                 path = os.path.join(tmpdir, f"{algorithm}-{shards}.db")
@@ -69,7 +69,8 @@ def run(
                     db.create_relation("S", rhs)
                     started = time.perf_counter()
                     pairs, metrics = db.join(
-                        "R", "S", partitioner=partitioner, engine=engine
+                        "R", "S", JoinConfig(engine=engine),
+                        partitioner=partitioner,
                     )
                     seconds = time.perf_counter() - started
                     report = db.last_placement

@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 import tempfile
 
-from ..analysis.simulate import make_partitioner
+from ..core.config import JoinConfig, resolve_partitioner
 from ..core.operator import run_disk_join
 from ..data.workloads import case_study
 from .base import ExperimentResult, register
@@ -54,12 +54,13 @@ def run(
                 # Fresh partitioner per run: PSJ draws from its RNG per
                 # tuple, so a reused instance would partition each run
                 # differently and the invariance checks would be vacuous.
-                partitioner = make_partitioner(algorithm, K, THETA_R,
+                partitioner = resolve_partitioner(algorithm, K, THETA_R,
                                                THETA_S, seed=seed)
                 path = os.path.join(tmpdir, f"{algorithm}-{workers}.db")
                 pairs, metrics = run_disk_join(
-                    lhs, rhs, partitioner, engine=engine, path=path,
-                    workers=workers, backend=backend,
+                    lhs, rhs, partitioner,
+                    JoinConfig(engine=engine, workers=workers, backend=backend),
+                    path=path,
                 )
                 if baseline is None:
                     baseline = (pairs, metrics.signature_comparisons,

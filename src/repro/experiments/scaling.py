@@ -10,7 +10,7 @@ the case study's cardinalities.
 
 from __future__ import annotations
 
-from ..analysis.simulate import make_partitioner
+from ..core.config import JoinConfig, resolve_partitioner
 from ..core.operator import run_disk_join
 from ..data.workloads import uniform_workload
 from .base import ExperimentResult, register
@@ -41,9 +41,11 @@ def run(sizes=DEFAULT_SIZES, seed: int = 23,
         times = {}
         comparisons = {}
         for algorithm in ("DCJ", "PSJ"):
-            partitioner = make_partitioner(algorithm, K, THETA_R, THETA_S,
+            partitioner = resolve_partitioner(algorithm, K, THETA_R, THETA_S,
                                            seed=seed)
-            __, metrics = run_disk_join(lhs, rhs, partitioner, engine=engine)
+            __, metrics = run_disk_join(
+                lhs, rhs, partitioner, JoinConfig(engine=engine),
+            )
             times[algorithm] = metrics.total_seconds
             comparisons[algorithm] = metrics.signature_comparisons
         ratio = times["PSJ"] / times["DCJ"]

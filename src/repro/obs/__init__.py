@@ -62,6 +62,8 @@ _LAZY = {
     "build_plan_from_statistics": "explain",
     "attach_observed": "explain",
     "explain_join": "explain",
+    "explain_shj_join": "explain",
+    "explain_hybrid_join": "explain",
     "analyze_join": "explain",
     "DriftRecord": "drift",
     "compute_drift": "drift",

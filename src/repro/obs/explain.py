@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from ..analysis.timemodel import PAPER_TIME_MODEL, TimeModel
+from ..core.config import JoinConfig
 from ..errors import ConfigurationError
 
 __all__ = [
@@ -51,6 +52,8 @@ __all__ = [
     "build_plan_from_statistics",
     "attach_observed",
     "explain_join",
+    "explain_shj_join",
+    "explain_hybrid_join",
     "analyze_join",
 ]
 
@@ -271,10 +274,7 @@ def build_plan_from_statistics(
     model: TimeModel = PAPER_TIME_MODEL,
     *,
     partitioner=None,
-    signature_bits: int = 160,
-    engine: str = "numpy",
-    workers: int = 1,
-    backend: str = "serial",
+    config: JoinConfig = JoinConfig(),
     page_size: int = 4096,
     operator_levels: int = 3,
     drift_corrections: dict | None = None,
@@ -285,9 +285,11 @@ def build_plan_from_statistics(
 ) -> ExplainReport:
     """Build the predicted (EXPLAIN) plan tree from join statistics.
 
-    ``partitioner`` (optional) lets the inspector show the concrete
-    operator structure — for a :class:`~repro.core.dcj.DCJPartitioner`
-    the α/β tree down to ``operator_levels`` levels.  The time formula's
+    ``config`` supplies the signature width and the joining phase's
+    engine and workers; ``partitioner`` (optional) lets the inspector
+    show the concrete operator structure — for a
+    :class:`~repro.core.dcj.DCJPartitioner` the α/β tree down to
+    ``operator_levels`` levels.  The time formula's
     two terms are mapped onto the phases they model: ``c1·x`` onto the
     joining phase (comparison CPU) and ``c2·y·k^c3`` onto the
     partitioning phase (replication I/O and fragmentation); the
@@ -327,8 +329,7 @@ def build_plan_from_statistics(
         return _build_hybrid_plan(
             r_size, s_size, theta_r, theta_s, model,
             corrections=corrections, tau=tau, quadrants=quadrants,
-            signature_bits=signature_bits, engine=engine,
-            page_size=page_size,
+            config=config, page_size=page_size,
         )
     quantities = predict_quantities(
         algorithm, k, theta_r, theta_s, r_size, s_size
@@ -336,7 +337,7 @@ def build_plan_from_statistics(
     x = quantities["signature_comparisons"]
     y = quantities["replicated_signatures"]
     cpu_seconds, repl_seconds = model.predict_terms(x, y, k)
-    entry_bytes = partition_entry_size((signature_bits + 7) // 8)
+    entry_bytes = partition_entry_size((config.signature_bits + 7) // 8)
     # Both relations' partition stores are written once during
     # partitioning and read once during joining.
     partition_pages = max(1, round(y * entry_bytes / page_size))
@@ -366,9 +367,11 @@ def build_plan_from_statistics(
     _attach_operator_tree(
         partition, partitioner, theta_r, theta_s, operator_levels
     )
-    join_detail = f"block nested loop, engine={engine}"
-    if workers > 1:
-        join_detail += f", workers={workers} ({backend} backend)"
+    join_detail = f"block nested loop, engine={config.engine}"
+    if config.workers > 1:
+        join_detail += (
+            f", workers={config.workers} ({config.backend} backend)"
+        )
     root.add(PlanNode(
         "phase.join",
         kind="phase",
@@ -507,8 +510,7 @@ def _build_hybrid_plan(
     corrections: dict,
     tau: int | None,
     quadrants: "list[dict] | None",
-    signature_bits: int,
-    engine: str,
+    config: JoinConfig,
     page_size: int,
 ) -> ExplainReport:
     """The hybrid plan: the switchover at τ plus one sub-plan per quadrant.
@@ -560,8 +562,8 @@ def _build_hybrid_plan(
             sub_algorithm, sub_k,
             quadrant["r_size"], quadrant["s_size"],
             quadrant["theta_r"], quadrant["theta_s"], model,
-            signature_bits=signature_bits, engine=engine,
-            page_size=page_size, drift_corrections=corrections,
+            config=config, page_size=page_size,
+            drift_corrections=corrections,
         )
         node = sub_report.root
         node.name = f"quadrant.{quadrant['label']}"
@@ -815,95 +817,104 @@ def _attach_join_children(node: PlanNode, join_span) -> None:
 # ----------------------------------------------------------------------
 
 
-def _resolve_configuration(lhs, rhs, algorithm, num_partitions, model, seed,
+def _resolve_configuration(lhs, rhs, config: JoinConfig, model,
                            drift_corrections=None):
     """Mirror :func:`repro.core.api.containment_join`'s plan selection so
     EXPLAIN shows exactly the configuration a real join would run."""
     from ..core.optimizer import choose_plan
 
-    theta_r = max(lhs.average_cardinality(), 1e-9)
-    theta_s = max(rhs.average_cardinality(), 1e-9)
-    if algorithm == "auto":
+    if config.algorithm == "auto":
         plan = choose_plan(lhs, rhs, model,
                            drift_history=drift_corrections or None)
         return (plan.algorithm, plan.k, plan.theta_r, plan.theta_s,
-                plan.build_partitioner(seed=seed))
-    from ..analysis.simulate import make_partitioner
-    from ..core.modulo import dcj_with_any_k, lsj_with_any_k
+                plan.build_partitioner(seed=config.seed))
+    theta_r = max(lhs.average_cardinality(), 1.0)
+    theta_s = max(rhs.average_cardinality(), 1.0)
+    return (config.algorithm, config.k, theta_r, theta_s,
+            config.build_partitioner(theta_r, theta_s))
 
-    k = num_partitions or 32
-    theta_r = max(theta_r, 1.0)
-    theta_s = max(theta_s, 1.0)
-    if algorithm == "PSJ" or (k & (k - 1) == 0 and k >= 2):
-        partitioner = make_partitioner(algorithm, k, theta_r, theta_s, seed)
-    elif algorithm == "DCJ":
-        partitioner = dcj_with_any_k(k, theta_r, theta_s)
-    elif algorithm == "LSJ":
-        partitioner = lsj_with_any_k(k, theta_r, theta_s)
-    else:
-        raise ConfigurationError(f"unknown algorithm {algorithm!r}")
-    return algorithm, k, theta_r, theta_s, partitioner
+
+def _check_nonempty(lhs, rhs) -> None:
+    if not lhs or not rhs:
+        raise ConfigurationError("cannot explain a join over an empty relation")
+
+
+def _thetas(lhs, rhs) -> tuple[float, float]:
+    return (max(lhs.average_cardinality(), 1e-9),
+            max(rhs.average_cardinality(), 1e-9))
 
 
 def explain_join(
     lhs,
     rhs,
-    algorithm: str = "auto",
-    num_partitions: int | None = None,
+    config: JoinConfig = JoinConfig(),
     *,
     model: TimeModel = PAPER_TIME_MODEL,
-    signature_bits: int = 160,
-    engine: str = "numpy",
-    workers: int = 1,
-    backend: str = "serial",
-    seed: int = 0,
     operator_levels: int = 3,
     drift_history=None,
-    shj_bits: int = 10,
-    lattice_levels: int = 6,
-    tau: int | None = None,
 ) -> ExplainReport:
     """EXPLAIN: the predicted plan for a join, without executing it.
 
     ``drift_history`` (drift records, a JSONL path, or an
     ``{algorithm: factor}`` mapping) makes the ``"auto"`` selection
     drift-aware and adds the corrected-prediction column (see
-    :func:`build_plan_from_statistics`).  Beyond ``auto``/``DCJ``/
-    ``PSJ``/``LSJ``, ``algorithm`` also accepts ``"SHJ"`` (lattice plan,
-    ``shj_bits``-wide signatures) and ``"HYBRID"`` (switchover plan at
-    ``tau``, default median cardinality, with per-quadrant sub-plans
-    computed from the actual relation split).
+    :func:`build_plan_from_statistics`).
     """
-    if not lhs or not rhs:
-        raise ConfigurationError("cannot explain a join over an empty relation")
+    _check_nonempty(lhs, rhs)
     from ..core.optimizer import resolve_drift_corrections
 
     corrections = resolve_drift_corrections(drift_history)
-    if algorithm == "SHJ":
-        theta_r = max(lhs.average_cardinality(), 1e-9)
-        theta_s = max(rhs.average_cardinality(), 1e-9)
-        return build_plan_from_statistics(
-            "SHJ", 1, len(lhs), len(rhs), theta_r, theta_s, model,
-            shj_bits=shj_bits, lattice_levels=lattice_levels,
-        )
-    if algorithm == "HYBRID":
-        tau, quadrants = _hybrid_quadrants_from_relations(lhs, rhs, tau)
-        theta_r = max(lhs.average_cardinality(), 1e-9)
-        theta_s = max(rhs.average_cardinality(), 1e-9)
-        return build_plan_from_statistics(
-            "HYBRID", 0, len(lhs), len(rhs), theta_r, theta_s, model,
-            signature_bits=signature_bits, engine=engine,
-            drift_corrections=corrections, tau=tau, quadrants=quadrants,
-        )
     algorithm, k, theta_r, theta_s, partitioner = _resolve_configuration(
-        lhs, rhs, algorithm, num_partitions, model, seed,
-        drift_corrections=corrections,
+        lhs, rhs, config, model, drift_corrections=corrections,
     )
     return build_plan_from_statistics(
         algorithm, k, len(lhs), len(rhs), theta_r, theta_s, model,
-        partitioner=partitioner, signature_bits=signature_bits,
-        engine=engine, workers=workers, backend=backend,
+        partitioner=partitioner, config=config,
         operator_levels=operator_levels, drift_corrections=corrections,
+    )
+
+
+def explain_shj_join(
+    lhs,
+    rhs,
+    *,
+    model: TimeModel = PAPER_TIME_MODEL,
+    shj_bits: int = 10,
+    lattice_levels: int = 6,
+) -> ExplainReport:
+    """EXPLAIN the main-memory SHJ baseline: its submask lattice with
+    ``shj_bits``-wide signatures, the first ``lattice_levels`` levels
+    expanded."""
+    _check_nonempty(lhs, rhs)
+    theta_r, theta_s = _thetas(lhs, rhs)
+    return build_plan_from_statistics(
+        "SHJ", 1, len(lhs), len(rhs), theta_r, theta_s, model,
+        shj_bits=shj_bits, lattice_levels=lattice_levels,
+    )
+
+
+def explain_hybrid_join(
+    lhs,
+    rhs,
+    config: JoinConfig = JoinConfig(),
+    *,
+    model: TimeModel = PAPER_TIME_MODEL,
+    drift_history=None,
+    tau: int | None = None,
+) -> ExplainReport:
+    """EXPLAIN the cardinality-split hybrid join: the switchover at
+    ``tau`` (default: the median cardinality) with per-quadrant
+    sub-plans computed from the actual relation split, each planned
+    by the optimizer and run under ``config``."""
+    _check_nonempty(lhs, rhs)
+    from ..core.optimizer import resolve_drift_corrections
+
+    tau, quadrants = _hybrid_quadrants_from_relations(lhs, rhs, tau)
+    theta_r, theta_s = _thetas(lhs, rhs)
+    return build_plan_from_statistics(
+        "HYBRID", 0, len(lhs), len(rhs), theta_r, theta_s, model,
+        config=config, tau=tau, quadrants=quadrants,
+        drift_corrections=resolve_drift_corrections(drift_history),
     )
 
 
@@ -942,15 +953,9 @@ def _hybrid_quadrants_from_relations(lhs, rhs, tau):
 def analyze_join(
     lhs,
     rhs,
-    algorithm: str = "auto",
-    num_partitions: int | None = None,
+    config: JoinConfig = JoinConfig(),
     *,
     model: TimeModel = PAPER_TIME_MODEL,
-    signature_bits: int = 160,
-    engine: str = "numpy",
-    workers: int = 1,
-    backend: str = "serial",
-    seed: int = 0,
     operator_levels: int = 3,
     tracer=None,
     registry=None,
@@ -982,17 +987,13 @@ def analyze_join(
     from .trace import Tracer
 
     report = explain_join(
-        lhs, rhs, algorithm, num_partitions, model=model,
-        signature_bits=signature_bits, engine=engine, workers=workers,
-        backend=backend, seed=seed, operator_levels=operator_levels,
+        lhs, rhs, config, model=model, operator_levels=operator_levels,
         drift_history=drift_history,
     )
     if tracer is None:
         tracer = Tracer()
     pairs, metrics = containment_join(
-        lhs, rhs, algorithm, num_partitions,
-        signature_bits=signature_bits, model=model, seed=seed,
-        workers=workers, backend=backend, tracer=tracer,
+        lhs, rhs, config, model=model, tracer=tracer,
         drift_history=drift_history,
     )
     attach_observed(report, tracer, metrics)

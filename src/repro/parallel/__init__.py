@@ -27,9 +27,9 @@ semantics bit for bit:
 * :mod:`~repro.parallel.engine` orchestrates the above for
   :class:`~repro.core.operator.SetContainmentJoin`.
 
-Entry points: ``run_disk_join(..., workers=4, backend="process")``,
-``SetContainmentJoin(..., workers=, parallel_backend=)``, or the CLI's
-``join --workers N --parallel-backend process``.
+Entry points: any join given ``JoinConfig(workers=4, backend="process")``
+(``run_disk_join``, ``SetContainmentJoin``, ``SetJoinDatabase.join``, ...)
+or the CLI's ``join --workers N --parallel-backend process``.
 """
 
 from .engine import run_parallel_join

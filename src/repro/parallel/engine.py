@@ -54,15 +54,15 @@ def run_parallel_join(
         num_partitions=k,
         r_size=len(join.testbed.relation_r),
         s_size=len(join.testbed.relation_s),
-        signature_bits=join.signature_bits,
+        signature_bits=join.config.signature_bits,
     )
 
-    shards = build_shards(r_sizes, s_sizes, join.workers)
+    shards = build_shards(r_sizes, s_sizes, join.config.workers)
     join._parallel_fallback_reason = None
     if not shards:
         return [], template
 
-    backend, fallback = resolve_backend(join.parallel_backend, len(shards))
+    backend, fallback = resolve_backend(join.config.backend, len(shards))
     join._parallel_fallback_reason = fallback
 
     # Prefer the tracer the operator's run() installed over the ambient
@@ -144,7 +144,6 @@ def _describe_file_source(join, parts_r, parts_s) -> FileSource | None:
         path=disk.path,
         page_size=disk.page_size,
         buffer_pages=join.testbed.pool.capacity,
-        buffer_policy=join.testbed.pool.policy,
         r_meta_page=parts_r.meta_page_id,
         s_meta_page=parts_s.meta_page_id,
     )
@@ -169,10 +168,7 @@ def _build_spec(join, parts_r, parts_s, shard, file_source,
 
     return ShardSpec(
         partitions=list(shard.partitions),
-        engine=join.engine,
-        signature_bits=join.signature_bits,
-        block_entries=join.block_entries,
-        batch_portions=join.batch_portions,
+        config=join.config,
         file_source=file_source,
         inline_r=inline_r,
         inline_s=inline_s,

@@ -19,6 +19,7 @@ import concurrent.futures
 import time
 from typing import Sequence
 
+from ..core.config import BACKENDS
 from ..errors import ConfigurationError, ParallelExecutionError
 from .worker import ShardResult, ShardSpec, run_shard
 
@@ -30,8 +31,6 @@ __all__ = [
     "ProcessBackend",
     "resolve_backend",
 ]
-
-BACKENDS = ("serial", "thread", "process")
 
 
 class ExecutionBackend:

@@ -38,6 +38,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
+from ..core.config import JoinConfig
+
 __all__ = ["FileSource", "ShardSpec", "ShardResult", "run_shard"]
 
 
@@ -48,7 +50,6 @@ class FileSource:
     path: str
     page_size: int
     buffer_pages: int
-    buffer_policy: str
     r_meta_page: int
     s_meta_page: int
 
@@ -57,15 +58,15 @@ class FileSource:
 class ShardSpec:
     """Everything one worker needs to join its partition pairs.
 
-    Plain data only (ints, strings, lists, dicts) so the spec pickles
-    cleanly across process boundaries under any start method.
+    Plain data only (ints, strings, lists, dicts and the frozen
+    :class:`~repro.core.config.JoinConfig`) so the spec pickles cleanly
+    across process boundaries under any start method.
     """
 
     partitions: list[int]
-    engine: str
-    signature_bits: int
-    block_entries: int
-    batch_portions: int
+    #: the operator's configuration; workers read the kernel settings
+    #: (engine, signature width) from it.
+    config: JoinConfig
     file_source: FileSource | None = None
     #: partition -> entries, for partitions not readable via file_source
     #: (memory-backed testbeds and memory-resident partitions).
@@ -164,7 +165,7 @@ def run_shard(spec: ShardSpec) -> ShardResult:
     captured into the result so it survives pickling back to the parent
     regardless of backend.
     """
-    from ..core.operator import compare_block
+    from ..core.operator import BATCH_PORTIONS, BLOCK_ENTRIES, compare_block
     from ..obs.registry import get_registry
     from ..obs.trace import NULL_TRACER, Tracer, current_tracer, use_tracer
 
@@ -215,16 +216,13 @@ def run_shard(spec: ShardSpec) -> ShardResult:
                 ) as partition_span:
                     comparisons_before = result.signature_comparisons
                     for block in _iter_r_blocks(
-                        r_side, partition, spec.block_entries,
-                        spec.batch_portions,
+                        r_side, partition, BLOCK_ENTRIES, BATCH_PORTIONS,
                     ):
                         result.signature_comparisons += compare_block(
-                            spec.engine,
-                            spec.signature_bits,
+                            spec.config.engine,
+                            spec.config.signature_bits,
                             block,
-                            _iter_s_batches(
-                                s_side, partition, spec.batch_portions
-                            ),
+                            _iter_s_batches(s_side, partition, BATCH_PORTIONS),
                             lambda r_tid, s_tid: pairs.add((r_tid, s_tid)),
                         )
                     partition_span.set(
@@ -311,16 +309,14 @@ def _open_file_source(spec: ShardSpec):
         from ..storage.faults import FaultInjectingDiskManager
 
         disk = FaultInjectingDiskManager(disk).fail_after(spec.fail_after)
-    pool = BufferPool(
-        disk, capacity=source.buffer_pages, policy=source.buffer_policy
-    )
+    pool = BufferPool(disk, capacity=source.buffer_pages)
     return disk, pool
 
 
 def _attach_stores(spec: ShardSpec, pool):
     from ..storage.partition_store import PartitionStore
 
-    signature_bytes = (spec.signature_bits + 7) // 8
+    signature_bytes = (spec.config.signature_bits + 7) // 8
     num_partitions = max(spec.partitions) + 1 if spec.partitions else 1
     parts_r = PartitionStore.attach(
         pool, spec.file_source.r_meta_page, signature_bytes, num_partitions

@@ -37,6 +37,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
+from ..core.config import JoinConfig
 from ..errors import ConfigurationError
 from ..obs.ledger import QueryLedger, RESOURCE_COUNTERS
 from ..obs.registry import get_registry
@@ -301,21 +302,14 @@ def _replay_join(record: WorkloadRecord, db, workers: int, backend: str):
         raise ConfigurationError(
             f"join record {record.query_id} lacks relation names"
         )
-    algorithm = params.get("algorithm")
-    if not algorithm or algorithm == "auto":
+    config = JoinConfig.from_params(params)
+    if config.algorithm == "auto":
         raise ConfigurationError(
             f"join record {record.query_id} carries unresolved algorithm "
-            f"{algorithm!r} — captures store the resolved plan"
+            f"'auto' — captures store the resolved plan"
         )
     return db.join(
-        r_name, s_name,
-        algorithm=algorithm,
-        num_partitions=params.get("num_partitions"),
-        signature_bits=params.get("signature_bits", 64),
-        engine=params.get("engine", "numpy"),
-        seed=params.get("seed", 0),
-        workers=workers,
-        backend=backend if workers > 1 else "serial",
+        r_name, s_name, config.replace(workers=workers, backend=backend)
     )
 
 

@@ -55,6 +55,7 @@ import random
 import threading
 import time
 
+from ..core.config import JoinConfig
 from ..database import SetJoinDatabase
 from ..errors import (
     AdmissionRejected,
@@ -689,7 +690,9 @@ class QueryService:
                 detail["r_size"] = metrics.r_size
                 detail["s_size"] = metrics.s_size
             else:
-                detail["algorithm"] = params.get("algorithm", "auto")
+                detail["algorithm"] = params.get(
+                    "algorithm", JoinConfig.algorithm
+                )
             plan = (
                 query.context.plan if query.context is not None else None
             )
@@ -719,24 +722,20 @@ class QueryService:
         params = query.params
         kind = query.kind
         if kind == "join":
-            out = {
-                "r": params["r"],
-                "s": params["s"],
-                "algorithm": params.get("algorithm", "auto"),
-                "num_partitions": params.get("num_partitions"),
-                "engine": params.get("engine", "numpy"),
-                "seed": params.get("seed", 0),
-            }
-            if "signature_bits" in params:
-                out["signature_bits"] = params["signature_bits"]
+            out = {"r": params["r"], "s": params["s"]}
+            try:
+                config = JoinConfig.from_params(params)
+            except ConfigurationError:
+                return out  # the request's settings never parsed
             if status == "ok" and result is not None:
                 __, metrics = result
-                out["algorithm"] = metrics.algorithm
-                out["num_partitions"] = metrics.num_partitions
-                out["signature_bits"] = metrics.signature_bits
-            return {
-                key: value for key, value in out.items() if value is not None
-            }
+                # metrics.algorithm names the partitioner ("DCJ-mod" when
+                # folded), so a forced algorithm keeps its own name.
+                if config.algorithm == "auto":
+                    config = config.replace(algorithm=metrics.algorithm)
+                config = config.replace(num_partitions=metrics.num_partitions)
+            out.update(config.to_params())
+            return out
         if kind == "probe":
             return {
                 "name": params["name"],
@@ -796,13 +795,12 @@ class QueryService:
         context = query.context
         params = query.params
         r_name, s_name = params["r"], params["s"]
-        algorithm = params.get("algorithm", "auto")
-        num_partitions = params.get("num_partitions")
+        config = JoinConfig.from_params(params).replace(workers=self.workers)
         prediction = None
         plan = None
         flight_on = self._flight is not None and context is not None
         ledger_on = self._ledger is not None or self._capture is not None
-        if algorithm == "auto" and (
+        if config.algorithm == "auto" and (
             self.drift_path is not None or self._plan_cache is not None
             or flight_on or ledger_on
         ):
@@ -812,7 +810,9 @@ class QueryService:
             plan = self._plan_for(r_name, s_name)
             if self.drift_path is not None:
                 prediction = plan.prediction(self.db.model)
-            algorithm, num_partitions = plan.algorithm, plan.k
+            config = config.replace(
+                algorithm=plan.algorithm, num_partitions=plan.k
+            )
 
         tracer = None
         if self.trace_path is not None or flight_on:
@@ -839,8 +839,8 @@ class QueryService:
                 # A named algorithm skips the optimizer; the request
                 # itself is the plan of record.
                 context.plan = {
-                    "algorithm": algorithm,
-                    "k": num_partitions,
+                    "algorithm": config.algorithm,
+                    "k": config.num_partitions,
                     "requested": True,
                 }
         baseline = self._registry.snapshot() if flight_on else None
@@ -863,16 +863,13 @@ class QueryService:
             try:
                 result = self.db.join(
                     r_name, s_name,
-                    algorithm=algorithm,
-                    num_partitions=num_partitions,
-                    workers=self.workers,
-                    backend=backend if self.workers > 1 else "serial",
+                    config.replace(
+                        backend=backend if self.workers > 1 else "serial"
+                    ),
                     shard_timeout=shard_timeout,
                     shard_hook=self.chaos,
                     tracer=tracer,
                     query_id=query.query_id,
-                    **{k: v for k, v in params.items()
-                       if k in ("signature_bits", "engine", "seed")},
                 )
             except BaseException as error:
                 if span is not None:

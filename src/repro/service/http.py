@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import json
 
+from ..core.config import JoinConfig
 from ..errors import (
     AdmissionRejected,
     ConfigurationError,
@@ -185,11 +186,9 @@ class _ServiceHandler(_Handler):
 
     def _handle_join(self, request: dict) -> dict:
         service: QueryService = self.server.service
-        params = {}
-        for key in ("algorithm", "num_partitions", "signature_bits",
-                    "engine", "seed"):
-            if key in request:
-                params[key] = request[key]
+        # Validate the join settings here so a bad body is a 400 before
+        # admission; the service reads the same flat keys again.
+        params = JoinConfig.from_params(request).to_params()
         pairs, metrics = service.join(
             self._required(request, "r"), self._required(request, "s"),
             deadline=request.get("deadline"), **params,

@@ -10,7 +10,7 @@ data), and a fault-injection subsystem for proving the reliability
 properties.
 """
 
-from .buffer import BufferPool, BufferStats, REPLACEMENT_POLICIES
+from .buffer import BufferPool, BufferStats
 from .catalog import CATALOG_META_PAGE, Catalog
 from .btree import BTree
 from .faults import (
@@ -40,7 +40,6 @@ __all__ = [
     "Catalog",
     "CATALOG_META_PAGE",
     "CrashSimulator",
-    "REPLACEMENT_POLICIES",
     "BTree",
     "DEFAULT_PAGE_SIZE",
     "PAGE_HEADER_SIZE",

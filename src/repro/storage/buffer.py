@@ -3,10 +3,9 @@
 The paper's testbed relies on Berkeley DB's buffering; this module provides
 the equivalent mechanism with explicit, inspectable behaviour.  Pages are
 cached in frames, fetches pin frames (pinned frames are never evicted),
-writes mark frames dirty, and evictions write dirty frames back.  Three
-replacement policies are available -- LRU (default), Clock and FIFO -- so
-the "buffer management policy of the database system" held constant across
-algorithms in the paper can also be varied as an ablation.
+writes mark frames dirty, and evictions write dirty frames back.  The
+replacement policy is LRU, held constant across algorithms as the paper
+holds "the buffer management policy of the database system".
 """
 
 from __future__ import annotations
@@ -18,9 +17,7 @@ from ..errors import BufferPoolError
 from ..obs.trace import current_tracer
 from .pager import DiskManager
 
-__all__ = ["BufferStats", "Frame", "BufferPool", "REPLACEMENT_POLICIES"]
-
-REPLACEMENT_POLICIES = ("lru", "clock", "fifo")
+__all__ = ["BufferStats", "Frame", "BufferPool"]
 
 
 @dataclass
@@ -56,18 +53,17 @@ class BufferStats:
 class Frame:
     """One cached page: mutable data plus pin/dirty bookkeeping."""
 
-    __slots__ = ("page_id", "data", "pin_count", "dirty", "referenced")
+    __slots__ = ("page_id", "data", "pin_count", "dirty")
 
     def __init__(self, page_id: int, data: bytes):
         self.page_id = page_id
         self.data = bytearray(data)
         self.pin_count = 0
         self.dirty = False
-        self.referenced = True  # for the clock policy
 
 
 class BufferPool:
-    """Bounded page cache with pin/unpin semantics.
+    """Bounded LRU page cache with pin/unpin semantics.
 
     Typical usage::
 
@@ -78,26 +74,14 @@ class BufferPool:
     The pool writes dirty pages back on eviction and on :meth:`flush_all`.
     """
 
-    def __init__(
-        self,
-        disk: DiskManager,
-        capacity: int = 256,
-        policy: str = "lru",
-    ):
+    def __init__(self, disk: DiskManager, capacity: int = 256):
         if capacity < 1:
             raise BufferPoolError(f"buffer pool capacity must be >= 1, got {capacity}")
-        if policy not in REPLACEMENT_POLICIES:
-            raise BufferPoolError(
-                f"unknown replacement policy {policy!r}; "
-                f"expected one of {REPLACEMENT_POLICIES}"
-            )
         self.disk = disk
         self.capacity = capacity
-        self.policy = policy
         self.stats = BufferStats()
-        # Insertion order doubles as FIFO order; LRU reorders on access.
+        # Least recently used first: every access moves a frame to the end.
         self._frames: OrderedDict[int, Frame] = OrderedDict()
-        self._clock_hand = 0
 
     def __len__(self) -> int:
         return len(self._frames)
@@ -122,9 +106,7 @@ class BufferPool:
         frame = self._frames.get(page_id)
         if frame is not None:
             self.stats.hits += 1
-            frame.referenced = True
-            if self.policy == "lru":
-                self._frames.move_to_end(page_id)
+            self._frames.move_to_end(page_id)
         else:
             self.stats.misses += 1
             self._make_room()
@@ -186,7 +168,6 @@ class BufferPool:
                     f"cannot drop pool: page {frame.page_id} still pinned"
                 )
         self._frames.clear()
-        self._clock_hand = 0
 
     def invalidate(self) -> None:
         """Empty the cache, discarding dirty data and pins.
@@ -196,7 +177,6 @@ class BufferPool:
         must never reach disk.  Callers re-fetch everything afterwards.
         """
         self._frames.clear()
-        self._clock_hand = 0
 
     def _make_room(self) -> None:
         if len(self._frames) < self.capacity:
@@ -205,27 +185,9 @@ class BufferPool:
         self._evict(victim_id)
 
     def _pick_victim(self) -> int:
-        if self.policy in ("lru", "fifo"):
-            for page_id, frame in self._frames.items():
-                if frame.pin_count == 0:
-                    return page_id
-            raise BufferPoolError("all buffer frames are pinned")
-        # Clock: sweep, clearing reference bits, until an unreferenced
-        # unpinned frame is found.
-        keys = list(self._frames.keys())
-        passes = 0
-        while passes < 2 * len(keys) + 1:
-            self._clock_hand %= len(keys)
-            page_id = keys[self._clock_hand]
-            frame = self._frames[page_id]
-            self._clock_hand += 1
-            passes += 1
-            if frame.pin_count:
-                continue
-            if frame.referenced:
-                frame.referenced = False
-                continue
-            return page_id
+        for page_id, frame in self._frames.items():
+            if frame.pin_count == 0:
+                return page_id
         raise BufferPoolError("all buffer frames are pinned")
 
     def _evict(self, page_id: int) -> None:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import JoinConfig
 from repro.core.api import (
     containment_join,
     self_containment_join,
@@ -25,14 +26,16 @@ class TestContainmentJoin:
     @pytest.mark.parametrize("algorithm", ["DCJ", "PSJ", "LSJ"])
     def test_forced_algorithm(self, small_workload, algorithm):
         lhs, rhs = small_workload
-        result, metrics = containment_join(lhs, rhs, algorithm=algorithm)
+        result, metrics = containment_join(
+            lhs, rhs, JoinConfig(algorithm=algorithm),
+        )
         assert result == containment_pairs_nested_loop(lhs, rhs)
 
     @pytest.mark.parametrize("algorithm", ["DCJ", "LSJ"])
     def test_non_power_of_two_k(self, small_workload, algorithm):
         lhs, rhs = small_workload
         result, metrics = containment_join(
-            lhs, rhs, algorithm=algorithm, num_partitions=12
+            lhs, rhs, JoinConfig(algorithm=algorithm, num_partitions=12),
         )
         assert result == containment_pairs_nested_loop(lhs, rhs)
         assert metrics.num_partitions == 12
@@ -45,40 +48,44 @@ class TestContainmentJoin:
     def test_unknown_algorithm(self, small_workload):
         lhs, rhs = small_workload
         with pytest.raises(ConfigurationError):
-            containment_join(lhs, rhs, algorithm="SHJ")
+            containment_join(lhs, rhs, JoinConfig(algorithm="SHJ"))
 
 
 class TestSupersetJoin:
     def test_swapped_semantics(self):
         big = Relation.from_sets([{1, 2, 3}, {9}])
         small = Relation.from_sets([{1, 2}, {3}, {9}])
-        result, __ = superset_join(big, small, algorithm="PSJ")
+        result, __ = superset_join(big, small, JoinConfig(algorithm="PSJ"))
         assert result == {(0, 0), (0, 1), (1, 2)}
 
     def test_inverse_of_containment(self, small_workload):
         lhs, rhs = small_workload
-        forward, __ = containment_join(lhs, rhs, algorithm="PSJ")
-        backward, __ = superset_join(rhs, lhs, algorithm="PSJ")
+        forward, __ = containment_join(lhs, rhs, JoinConfig(algorithm="PSJ"))
+        backward, __ = superset_join(rhs, lhs, JoinConfig(algorithm="PSJ"))
         assert backward == {(s, r) for r, s in forward}
 
 
 class TestSelfContainmentJoin:
     def test_strict_drops_reflexive_pairs(self):
         relation = Relation.from_sets([{1}, {1, 2}, {1, 2, 3}, {9}])
-        pairs, metrics = self_containment_join(relation, algorithm="PSJ")
+        pairs, metrics = self_containment_join(
+            relation, JoinConfig(algorithm="PSJ"),
+        )
         assert pairs == {(0, 1), (0, 2), (1, 2)}
         assert metrics.result_size == 3
 
     def test_non_strict_keeps_reflexive_pairs(self):
         relation = Relation.from_sets([{1}, {2}])
         pairs, __ = self_containment_join(
-            relation, algorithm="PSJ", strict=False
+            relation, JoinConfig(algorithm="PSJ"), strict=False,
         )
         assert pairs == {(0, 0), (1, 1)}
 
     def test_duplicate_sets_both_directions(self):
         relation = Relation.from_sets([{5, 6}, {5, 6}])
-        pairs, __ = self_containment_join(relation, algorithm="PSJ")
+        pairs, __ = self_containment_join(
+            relation, JoinConfig(algorithm="PSJ"),
+        )
         assert pairs == {(0, 1), (1, 0)}
 
 

@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import BufferPoolError
-from repro.storage.buffer import REPLACEMENT_POLICIES, BufferPool
+from repro.storage.buffer import BufferPool
 from repro.storage.pager import InMemoryDiskManager
 
 
-def make_pool(capacity=4, policy="lru", page_size=128):
+def make_pool(capacity=4, page_size=128):
     disk = InMemoryDiskManager(page_size)
-    return disk, BufferPool(disk, capacity=capacity, policy=policy)
+    return disk, BufferPool(disk, capacity=capacity)
 
 
 class TestBasics:
@@ -115,8 +115,6 @@ class TestBasics:
         disk = InMemoryDiskManager(128)
         with pytest.raises(BufferPoolError):
             BufferPool(disk, capacity=0)
-        with pytest.raises(BufferPoolError):
-            BufferPool(disk, policy="mru")
 
     def test_memory_bytes(self):
         __, pool = make_pool(capacity=4, page_size=128)
@@ -125,17 +123,16 @@ class TestBasics:
         assert pool.memory_bytes == pool.disk.payload_size
 
 
-@pytest.mark.parametrize("policy", REPLACEMENT_POLICIES)
 class TestPolicies:
-    def test_capacity_never_exceeded(self, policy):
-        __, pool = make_pool(capacity=3, policy=policy)
+    def test_capacity_never_exceeded(self):
+        __, pool = make_pool(capacity=3)
         for __ in range(10):
             frame = pool.new_page()
             pool.unpin(frame.page_id)
         assert len(pool) <= 3
 
-    def test_data_survives_eviction_cycles(self, policy):
-        disk, pool = make_pool(capacity=3, policy=policy)
+    def test_data_survives_eviction_cycles(self):
+        disk, pool = make_pool(capacity=3)
         rng = random.Random(7)
         page_ids = []
         for value in range(8):
@@ -149,10 +146,8 @@ class TestPolicies:
             pool.unpin(page_id)
             assert frame.data[0] == page_id
 
-    def test_lru_evicts_least_recent(self, policy):
-        if policy != "lru":
-            pytest.skip("LRU-specific ordering check")
-        __, pool = make_pool(capacity=2, policy="lru")
+    def test_lru_evicts_least_recent(self):
+        __, pool = make_pool(capacity=2)
         a = pool.new_page()
         pool.unpin(a.page_id)
         b = pool.new_page()
@@ -170,13 +165,12 @@ class TestPolicies:
     operations=st.lists(
         st.tuples(st.integers(0, 9), st.integers(0, 255)), min_size=1, max_size=60
     ),
-    policy=st.sampled_from(REPLACEMENT_POLICIES),
     capacity=st.integers(min_value=2, max_value=5),
 )
-def test_pool_never_loses_committed_writes(operations, policy, capacity):
+def test_pool_never_loses_committed_writes(operations, capacity):
     """Property: reads through the pool always see the latest write."""
     disk = InMemoryDiskManager(128)
-    pool = BufferPool(disk, capacity=capacity, policy=policy)
+    pool = BufferPool(disk, capacity=capacity)
     for __ in range(10):
         frame = pool.new_page()
         pool.unpin(frame.page_id, dirty=True)

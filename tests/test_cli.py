@@ -51,6 +51,18 @@ class TestCommands:
         pairs = {tuple(map(int, line.split())) for line in output.splitlines()}
         assert pairs == {(0, 0), (1, 1), (2, 2)}
 
+    @pytest.mark.parametrize("algorithm", ["dcj", "lsj"])
+    def test_join_at_a_partition_count_that_is_not_a_power_of_two(
+            self, set_files, capsys, algorithm):
+        r_path, s_path = set_files
+        assert main(["join", r_path, s_path, "--algorithm", algorithm,
+                     "-k", "48"]) == 0
+        captured = capsys.readouterr()
+        pairs = {tuple(map(int, line.split()))
+                 for line in captured.out.splitlines()}
+        assert pairs == {(0, 0), (1, 1), (2, 2)}
+        assert f"({algorithm.upper()}-mod, k=48)" in captured.err
+
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_join_parallel_workers(self, set_files, capsys, backend):
         r_path, s_path = set_files

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import JoinConfig
 from repro.core.sets import Relation, containment_pairs_nested_loop
 from repro.database import SetJoinDatabase
 from repro.data.workloads import uniform_workload
@@ -84,7 +85,9 @@ class TestDatabase:
             db.create_relation("r", lhs)
             db.create_relation("s", rhs)
             for algorithm in ("auto", "DCJ", "PSJ", "LSJ"):
-                pairs, metrics = db.join("r", "s", algorithm=algorithm)
+                pairs, metrics = db.join(
+                    "r", "s", JoinConfig(algorithm=algorithm),
+                )
                 assert pairs == expected, algorithm
 
     def test_join_non_power_of_two(self, relations):
@@ -93,8 +96,9 @@ class TestDatabase:
         with SetJoinDatabase.open() as db:
             db.create_relation("r", lhs)
             db.create_relation("s", rhs)
-            pairs, metrics = db.join("r", "s", algorithm="DCJ",
-                                     num_partitions=12)
+            pairs, metrics = db.join(
+                "r", "s", JoinConfig(algorithm="DCJ", num_partitions=12),
+            )
             assert pairs == expected
             assert metrics.num_partitions == 12
 
@@ -114,8 +118,9 @@ class TestDatabase:
         with SetJoinDatabase.open() as db:
             db.create_relation("r", lhs)
             db.create_relation("s", rhs)
-            report = db.explain_plan("r", "s", algorithm="DCJ",
-                                     num_partitions=8)
+            report = db.explain_plan(
+                "r", "s", JoinConfig(algorithm="DCJ", num_partitions=8),
+            )
             text = report.render()
             assert report.mode == "explain"
             assert "α(h1)" in text  # the DCJ operator tree
@@ -140,7 +145,7 @@ class TestDatabase:
         with SetJoinDatabase.open() as db:
             db.create_relation("r", lhs)
             db.create_relation("s", rhs)
-            db.join("r", "s", algorithm="PSJ")
+            db.join("r", "s", JoinConfig(algorithm="PSJ"))
             stats = db.stats()
         # The latency series lives in the process-wide registry, so
         # other tests' joins may have contributed too — at least ours
@@ -166,10 +171,10 @@ class TestDatabase:
         with SetJoinDatabase.open() as db:
             db.create_relation("r", lhs)
             db.create_relation("s", rhs)
-            db.join("r", "s", algorithm="PSJ")
+            db.join("r", "s", JoinConfig(algorithm="PSJ"))
             pages_after_first = db.disk.num_pages
             for __ in range(3):
-                db.join("r", "s", algorithm="PSJ")
+                db.join("r", "s", JoinConfig(algorithm="PSJ"))
             assert db.disk.num_pages <= pages_after_first + 2
 
     def test_closed_database_rejects_operations(self, relations):

@@ -11,6 +11,7 @@ import os
 
 import pytest
 
+from repro.core import JoinConfig
 from repro.core.psj import PSJPartitioner
 from repro.database import SetJoinDatabase
 from repro.dist import ShardedDatabase, deterministic_partitioner
@@ -40,7 +41,9 @@ def single_answer(workload):
     with SetJoinDatabase.open() as db:
         db.create_relation("r", r_rows)
         db.create_relation("s", s_rows)
-        pairs, __ = db.join("r", "s", algorithm="PSJ", num_partitions=8)
+        pairs, __ = db.join(
+            "r", "s", JoinConfig(algorithm="PSJ", num_partitions=8),
+        )
     partitioner = deterministic_partitioner(PSJPartitioner(8))
     with ShardedDatabase.open(None, shards=1) as db:
         db.create_relation("r", r_rows)
@@ -66,8 +69,8 @@ class TestShardCountInvariance:
             db.create_relation("r", r_rows)
             db.create_relation("s", s_rows)
             pairs, metrics = db.join(
-                "r", "s", partitioner=partitioner,
-                workers=workers, backend=backend,
+                "r", "s", JoinConfig(workers=workers, backend=backend),
+                partitioner=partitioner,
             )
         assert pairs == expected_pairs
         assert metrics.signature_comparisons == expected.signature_comparisons

@@ -3,6 +3,7 @@ under load and chaos, resharding through the admission lane."""
 
 import pytest
 
+from repro.core import JoinConfig
 from repro.database import SetJoinDatabase
 from repro.dist import ShardedDatabase
 from repro.errors import ConfigurationError
@@ -145,10 +146,14 @@ class TestKillOneShardWorker:
             db.create_relation("r", [(t.tid, t.elements) for t in lhs])
             db.create_relation("s", [(t.tid, t.elements) for t in rhs])
             with pytest.raises(SetJoinError):
-                db.join("r", "s", workers=2, backend="thread",
-                        shard_hook=chaos)
+                db.join(
+                    "r", "s", JoinConfig(workers=2, backend="thread"),
+                    shard_hook=chaos,
+                )
             # the fault is one-shot, so the plain retry succeeds
-            pairs, __ = db.join("r", "s", workers=2, backend="thread",
-                                shard_hook=chaos)
+            pairs, __ = db.join(
+                "r", "s", JoinConfig(workers=2, backend="thread"),
+                shard_hook=chaos,
+            )
         assert chaos.kills == 1
         assert pairs == expected

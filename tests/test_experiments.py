@@ -17,7 +17,7 @@ EXPECTED_IDS = {
     "fig10", "calibration", "accuracy", "optimizer", "scaling", "prediction",
     "baselines",
     "ablation-alternation", "ablation-hash-family", "ablation-firing",
-    "ablation-portions", "ablation-buffer", "ablation-hybrid",
+    "ablation-portions", "ablation-hybrid",
     "ablation-options", "ablation-modulo", "ablation-skew", "scorecard",
 }
 
@@ -223,10 +223,6 @@ class TestAblations:
             by_layout["portioned"]["t_partition_s"]
             < by_layout["monolithic"]["t_partition_s"]
         )
-
-    def test_buffer_policies_all_correct(self):
-        result = get_experiment("ablation-buffer")(k=8)
-        assert {row["policy"] for row in result.rows} == {"lru", "clock", "fifo"}
 
     def test_hybrid_matches_plain_algorithms(self):
         result = get_experiment("ablation-hybrid")()

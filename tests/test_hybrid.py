@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import JoinConfig
 from repro.analysis.timemodel import PAPER_TIME_MODEL
 from repro.core.hybrid import hybrid_join, split_by_cardinality
 from repro.core.sets import Relation, containment_pairs_nested_loop
@@ -27,7 +28,9 @@ class TestSplit:
 class TestHybridJoin:
     def test_matches_brute_force(self, small_workload):
         lhs, rhs = small_workload
-        outcome = hybrid_join(lhs, rhs, PAPER_TIME_MODEL, signature_bits=64)
+        outcome = hybrid_join(
+            lhs, rhs, PAPER_TIME_MODEL, config=JoinConfig(signature_bits=64),
+        )
         assert outcome.result == containment_pairs_nested_loop(lhs, rhs)
 
     def test_mixed_cardinalities(self):
@@ -37,7 +40,9 @@ class TestHybridJoin:
         rhs = Relation.from_sets(
             [{1, 2, 3}, set(range(100, 150)), set(range(200, 270)), {3, 4}]
         )
-        outcome = hybrid_join(lhs, rhs, PAPER_TIME_MODEL, signature_bits=64)
+        outcome = hybrid_join(
+            lhs, rhs, PAPER_TIME_MODEL, config=JoinConfig(signature_bits=64),
+        )
         assert outcome.result == containment_pairs_nested_loop(lhs, rhs)
         assert outcome.tau >= 1
         assert 1 <= len(outcome.quadrants) <= 3

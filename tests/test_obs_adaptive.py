@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from repro.core import JoinConfig
 from repro.analysis.timemodel import PAPER_TIME_MODEL, TimeModel
 from repro.core.api import containment_join
 from repro.core.optimizer import choose_plan, resolve_drift_corrections
@@ -268,8 +269,9 @@ class TestFakeClockClosedLoop:
         drift_path = str(tmp_path / "drift.jsonl")
         for __ in range(21):
             analysis = analyze_join(
-                lhs, rhs, "DCJ", 8, model=PAPER_TIME_MODEL,
-                drift_path=drift_path, registry=MetricsRegistry(),
+                lhs, rhs, JoinConfig(algorithm="DCJ", num_partitions=8),
+                model=PAPER_TIME_MODEL, drift_path=drift_path,
+                registry=MetricsRegistry(),
             )
         assert analysis.drift.observed["seconds"] > 0
 
@@ -284,8 +286,8 @@ class TestFakeClockClosedLoop:
         )
 
         report = explain_join(
-            lhs, rhs, "DCJ", 8, model=store.active,
-            drift_history=drift_path,
+            lhs, rhs, JoinConfig(algorithm="DCJ", num_partitions=8),
+            model=store.active, drift_history=drift_path,
         )
         rendered = report.render()
         assert "drift_correction" in rendered
@@ -367,10 +369,10 @@ class TestExecutionUnchangedByAdaptation:
     def test_forced_algorithm_bit_identical(self, small_workload, algorithm):
         lhs, rhs = small_workload
         plain_pairs, plain = containment_join(
-            lhs, rhs, algorithm, 8
+            lhs, rhs, JoinConfig(algorithm=algorithm, num_partitions=8),
         )
         adapted_pairs, adapted = containment_join(
-            lhs, rhs, algorithm, 8,
+            lhs, rhs, JoinConfig(algorithm=algorithm, num_partitions=8),
             drift_history={"DCJ": 3.0, "PSJ": 0.5},
         )
         assert adapted_pairs == plain_pairs
@@ -380,9 +382,11 @@ class TestExecutionUnchangedByAdaptation:
 
     def test_auto_with_agreeing_history_bit_identical(self, small_workload):
         lhs, rhs = small_workload
-        plain_pairs, plain = containment_join(lhs, rhs, "auto")
+        plain_pairs, plain = containment_join(
+            lhs, rhs, JoinConfig(algorithm="auto"),
+        )
         adapted_pairs, adapted = containment_join(
-            lhs, rhs, "auto", drift_history={}
+            lhs, rhs, JoinConfig(algorithm="auto"), drift_history={},
         )
         assert adapted_pairs == plain_pairs
         assert adapted.algorithm == plain.algorithm

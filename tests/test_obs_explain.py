@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from repro.core import JoinConfig
 from repro.core.api import containment_join
 from repro.data.workloads import uniform_workload
 from repro.errors import ConfigurationError
@@ -19,7 +20,9 @@ from repro.obs.explain import (
     PlanNode,
     analyze_join,
     build_plan_from_statistics,
+    explain_hybrid_join,
     explain_join,
+    explain_shj_join,
 )
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import Tracer
@@ -93,7 +96,9 @@ class TestPlanNode:
 class TestExplain:
     def test_dcj_plan_renders_operator_tree(self, relations):
         lhs, rhs = relations
-        report = explain_join(lhs, rhs, algorithm="DCJ", num_partitions=8)
+        report = explain_join(
+            lhs, rhs, JoinConfig(algorithm="DCJ", num_partitions=8),
+        )
         text = report.render()
         assert report.mode == "explain"
         assert "set containment join" in text
@@ -112,14 +117,18 @@ class TestExplain:
 
     def test_explain_is_deterministic(self, relations):
         lhs, rhs = relations
-        first = explain_join(lhs, rhs, algorithm="DCJ", num_partitions=8)
-        second = explain_join(lhs, rhs, algorithm="DCJ", num_partitions=8)
+        first = explain_join(
+            lhs, rhs, JoinConfig(algorithm="DCJ", num_partitions=8),
+        )
+        second = explain_join(
+            lhs, rhs, JoinConfig(algorithm="DCJ", num_partitions=8),
+        )
         assert first.render() == second.render()
 
     def test_psj_plan_has_no_operator_tree(self, relations):
         lhs, rhs = relations
         text = explain_join(
-            lhs, rhs, algorithm="PSJ", num_partitions=8
+            lhs, rhs, JoinConfig(algorithm="PSJ", num_partitions=8),
         ).render()
         assert "PSJ" in text
         assert "α(" not in text and "β(" not in text
@@ -127,22 +136,23 @@ class TestExplain:
 
     def test_auto_resolves_to_the_optimizer_choice(self, relations):
         lhs, rhs = relations
-        report = explain_join(lhs, rhs, algorithm="auto")
+        report = explain_join(lhs, rhs, JoinConfig(algorithm="auto"))
         assert report.root.detail.split()[0] in {"DCJ", "PSJ", "LSJ"}
         assert "k=" in report.root.detail
 
     def test_workers_show_in_the_join_phase_detail(self, relations):
         lhs, rhs = relations
         text = explain_join(
-            lhs, rhs, algorithm="DCJ", num_partitions=8,
-            workers=2, backend="serial",
+            lhs, rhs,
+            JoinConfig(algorithm="DCJ", num_partitions=8, workers=2, backend="serial"),
         ).render()
         assert "workers=2 (serial backend)" in text
 
     def test_deep_operator_tree_is_elided_with_a_note(self, relations):
         lhs, rhs = relations
         text = explain_join(
-            lhs, rhs, algorithm="DCJ", num_partitions=32, operator_levels=2
+            lhs, rhs, JoinConfig(algorithm="DCJ", num_partitions=32),
+            operator_levels=2,
         ).render()
         assert "operator nodes elided" in text
         # Only levels 0 and 1 rendered: h1 and h2, never h3.
@@ -162,7 +172,9 @@ class TestExplain:
 
     def test_time_terms_split_onto_the_phases(self, relations):
         lhs, rhs = relations
-        report = explain_join(lhs, rhs, algorithm="DCJ", num_partitions=8)
+        report = explain_join(
+            lhs, rhs, JoinConfig(algorithm="DCJ", num_partitions=8),
+        )
         phases = {node.name: node for node in report.root.children}
         total = report.root.predicted["seconds"]
         split = (
@@ -176,11 +188,16 @@ class TestExplain:
 
 class TestAnalyze:
     def analyze(self, relations, **kwargs):
+        """ANALYZE under fake clocks; ``JoinConfig`` fields among
+        ``kwargs`` build the config, the rest pass through."""
         lhs, rhs = relations
+        config = JoinConfig.from_params(kwargs)
+        kwargs = {key: value for key, value in kwargs.items()
+                  if key not in config.to_params()}
         kwargs.setdefault("tracer", make_tracer())
         kwargs.setdefault("registry", MetricsRegistry())
         kwargs.setdefault("wall", lambda: 1234.5)
-        return analyze_join(lhs, rhs, **kwargs)
+        return analyze_join(lhs, rhs, config, **kwargs)
 
     def test_dcj_snapshot_is_deterministic_under_fake_clocks(self, relations):
         first = self.analyze(relations, algorithm="DCJ", num_partitions=8)
@@ -225,8 +242,9 @@ class TestAnalyze:
                 workers=workers, backend="serial",
             )
             pairs, metrics = containment_join(
-                lhs, rhs, algorithm=algorithm, num_partitions=8,
-                workers=workers, backend="serial",
+                lhs, rhs,
+                JoinConfig(algorithm=algorithm, num_partitions=8,
+                           workers=workers, backend="serial"),
             )
             assert result.pairs == pairs
             assert (
@@ -277,6 +295,16 @@ class TestAnalyze:
         assert records[0].algorithm == "DCJ"
         assert records[0].to_dict() == result.drift.to_dict()
 
+    @pytest.mark.parametrize("engine", ["python", "numpy"])
+    def test_rendered_engine_is_the_engine_that_ran(self, relations, engine):
+        tracer = make_tracer()
+        result = self.analyze(relations, algorithm="DCJ", num_partitions=8,
+                              engine=engine, tracer=tracer)
+        (join_span,) = [span for root in tracer.roots
+                        for span in root.walk() if span.name == "join"]
+        assert join_span.attrs["engine"] == engine
+        assert f"block nested loop, engine={engine}" in result.render()
+
     def test_report_to_dict_is_json_able(self, relations):
         result = self.analyze(relations, algorithm="DCJ", num_partitions=8)
         document = json.loads(json.dumps(result.report.to_dict()))
@@ -304,7 +332,7 @@ class TestCorrectedColumn:
     def test_corrections_add_a_corrected_column(self, relations):
         lhs, rhs = relations
         report = explain_join(
-            lhs, rhs, algorithm="DCJ", num_partitions=8,
+            lhs, rhs, JoinConfig(algorithm="DCJ", num_partitions=8),
             drift_history={"DCJ": 2.0},
         )
         text = report.render()
@@ -318,7 +346,7 @@ class TestCorrectedColumn:
     def test_every_timed_node_gets_the_corrected_estimate(self, relations):
         lhs, rhs = relations
         report = explain_join(
-            lhs, rhs, algorithm="DCJ", num_partitions=8,
+            lhs, rhs, JoinConfig(algorithm="DCJ", num_partitions=8),
             drift_history={"DCJ": 1.5},
         )
         for node in report.root.walk():
@@ -329,14 +357,16 @@ class TestCorrectedColumn:
 
     def test_no_history_means_no_corrected_column(self, relations):
         lhs, rhs = relations
-        report = explain_join(lhs, rhs, algorithm="DCJ", num_partitions=8)
+        report = explain_join(
+            lhs, rhs, JoinConfig(algorithm="DCJ", num_partitions=8),
+        )
         assert report.root.corrected == {}
         assert "corrected" not in report.render()
 
     def test_uncorrected_algorithm_is_left_alone(self, relations):
         lhs, rhs = relations
         report = explain_join(
-            lhs, rhs, algorithm="DCJ", num_partitions=8,
+            lhs, rhs, JoinConfig(algorithm="DCJ", num_partitions=8),
             drift_history={"PSJ": 3.0},
         )
         assert report.root.corrected == {}
@@ -344,7 +374,7 @@ class TestCorrectedColumn:
     def test_corrected_report_roundtrips_to_dict(self, relations):
         lhs, rhs = relations
         report = explain_join(
-            lhs, rhs, algorithm="DCJ", num_partitions=8,
+            lhs, rhs, JoinConfig(algorithm="DCJ", num_partitions=8),
             drift_history={"DCJ": 2.0},
         )
         document = json.loads(json.dumps(report.to_dict()))
@@ -354,7 +384,7 @@ class TestCorrectedColumn:
 class TestSHJPlan:
     def test_lattice_levels_render_as_operator_nodes(self, relations):
         lhs, rhs = relations
-        report = explain_join(lhs, rhs, algorithm="SHJ", shj_bits=6)
+        report = explain_shj_join(lhs, rhs, shj_bits=6)
         text = report.render()
         names = [node.name for node in report.root.walk()]
         assert "phase.build" in names
@@ -395,7 +425,7 @@ class TestSHJPlan:
 class TestHybridPlan:
     def test_switchover_and_quadrants_render(self, relations):
         lhs, rhs = relations
-        report = explain_join(lhs, rhs, algorithm="HYBRID")
+        report = explain_hybrid_join(lhs, rhs)
         names = [node.name for node in report.root.walk()]
         assert "switchover" in names
         assert any(name.startswith("quadrant.") for name in names)

@@ -8,6 +8,7 @@ and the per-shard timing list the parallel merge must preserve.
 
 import pytest
 
+from repro.core import JoinConfig
 from repro.core.metrics import JoinMetrics, PhaseMetrics
 from repro.core.operator import run_disk_join
 from repro.core.psj import PSJPartitioner
@@ -156,7 +157,7 @@ class TestParallelStitching:
         workers = 3
         __, metrics = run_disk_join(
             lhs, rhs, PSJPartitioner(8, seed=1),
-            workers=workers, backend=backend, tracer=tracer,
+            JoinConfig(workers=workers, backend=backend), tracer=tracer,
         )
         records = tracer.export()
         validate_trace_records(records)  # no dangling edges: one tree
@@ -185,7 +186,7 @@ class TestParallelStitching:
         workers = 3
         __, metrics = run_disk_join(
             lhs, rhs, PSJPartitioner(8, seed=1),
-            workers=workers, backend="thread",
+            JoinConfig(workers=workers, backend="thread"),
         )
         assert len(metrics.shard_joining) == workers
         for share in metrics.shard_joining:
@@ -203,7 +204,7 @@ class TestParallelStitching:
         __, serial = run_disk_join(lhs, rhs, PSJPartitioner(8, seed=1))
         __, parallel = run_disk_join(
             lhs, rhs, PSJPartitioner(8, seed=1),
-            workers=2, backend="process",
+            JoinConfig(workers=2, backend="process"),
         )
         assert parallel.buffer_misses > 0
         # Workers re-read partition data in their own pools, so the
@@ -215,11 +216,11 @@ class TestParallelStitching:
         lhs, rhs = workload
         plain_pairs, plain = run_disk_join(
             lhs, rhs, PSJPartitioner(8, seed=1),
-            workers=3, backend="process",
+            JoinConfig(workers=3, backend="process"),
         )
         traced_pairs, traced = run_disk_join(
             lhs, rhs, PSJPartitioner(8, seed=1),
-            workers=3, backend="process", tracer=Tracer(),
+            JoinConfig(workers=3, backend="process"), tracer=Tracer(),
         )
         assert traced_pairs == plain_pairs
         assert traced.signature_comparisons == plain.signature_comparisons

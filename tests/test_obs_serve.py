@@ -10,6 +10,7 @@ import urllib.request
 
 import pytest
 
+from repro.core import JoinConfig
 from repro.errors import ConfigurationError
 from repro.obs.registry import MetricsRegistry
 from repro.obs.serve import MetricsServer, serve_metrics
@@ -118,7 +119,8 @@ class TestDriftOnMetrics:
             domain_size=200, seed=3,
         ).materialize()
         analyze_join(
-            lhs, rhs, algorithm="DCJ", num_partitions=8, registry=registry
+            lhs, rhs, JoinConfig(algorithm="DCJ", num_partitions=8),
+            registry=registry,
         )
         with MetricsServer(port=0, registry=registry) as server:
             __, __, body = fetch(server.url + "/metrics")

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.simulate import make_partitioner
+from repro.core import JoinConfig, operator, resolve_partitioner
 from repro.core.dcj import DCJPartitioner
 from repro.core.hashing import BitstringHashFamily
 from repro.core.lsj import LSJPartitioner
@@ -29,7 +29,7 @@ class TestEndToEnd:
         expected = containment_pairs_nested_loop(lhs, rhs)
         for partitioner in all_partitioners():
             result, metrics = run_disk_join(
-                lhs, rhs, partitioner, engine=engine
+                lhs, rhs, partitioner, JoinConfig(engine=engine),
             )
             assert result == expected, partitioner.describe()
             assert metrics.result_size == len(expected)
@@ -38,7 +38,7 @@ class TestEndToEnd:
     def test_paper_example_on_disk(self, paper_r, paper_s, paper_truth):
         for partitioner in all_partitioners(k=8, theta_r=2, theta_s=3):
             result, __ = run_disk_join(
-                paper_r, paper_s, partitioner, signature_bits=4
+                paper_r, paper_s, partitioner, JoinConfig(signature_bits=4),
             )
             assert result == paper_truth
 
@@ -57,7 +57,9 @@ class TestEndToEnd:
         results = {}
         for engine in ("python", "numpy"):
             partitioner = DCJPartitioner.for_cardinalities(8, 8, 16)
-            result, metrics = run_disk_join(lhs, rhs, partitioner, engine=engine)
+            result, metrics = run_disk_join(
+                lhs, rhs, partitioner, JoinConfig(engine=engine),
+            )
             results[engine] = (result, metrics.signature_comparisons,
                                metrics.replicated_signatures, metrics.candidates)
         assert results["python"] == results["numpy"]
@@ -102,23 +104,18 @@ class TestOperatorConfiguration:
         with pytest.raises(ConfigurationError):
             SetContainmentJoin(testbed, PSJPartitioner(4))
 
-    def test_engine_validated(self, paper_r, paper_s):
-        with Testbed() as testbed:
-            testbed.load(paper_r, paper_s)
-            with pytest.raises(ConfigurationError):
-                SetContainmentJoin(testbed, PSJPartitioner(4), engine="cuda")
-            with pytest.raises(ConfigurationError):
-                SetContainmentJoin(testbed, PSJPartitioner(4), block_entries=0)
+    def test_engine_validated(self):
+        with pytest.raises(ConfigurationError):
+            JoinConfig(engine="cuda")
 
-    def test_block_nested_loop_small_blocks(self, small_workload):
+    def test_block_nested_loop_small_blocks(self, small_workload, monkeypatch):
         """Tiny block budget forces multiple S re-scans; result unchanged."""
         lhs, rhs = small_workload
         expected = containment_pairs_nested_loop(lhs, rhs)
+        monkeypatch.setattr(operator, "BLOCK_ENTRIES", 8)
         with Testbed() as testbed:
             testbed.load(lhs, rhs)
-            join = SetContainmentJoin(
-                testbed, PSJPartitioner(4, seed=1), block_entries=8
-            )
+            join = SetContainmentJoin(testbed, PSJPartitioner(4, seed=1))
             result, metrics = join.run()
         assert result == expected
         assert metrics.signature_comparisons >= len(lhs) * 1  # sanity
@@ -141,16 +138,6 @@ class TestOperatorConfiguration:
         assert result == expected
         assert metrics.total_page_reads > 0  # misses force real reads
 
-    @pytest.mark.parametrize("policy", ["lru", "clock", "fifo"])
-    def test_buffer_policies(self, small_workload, policy):
-        lhs, rhs = small_workload
-        expected = containment_pairs_nested_loop(lhs, rhs)
-        result, __ = run_disk_join(
-            lhs, rhs, PSJPartitioner(8, seed=1),
-            buffer_pages=24, buffer_policy=policy,
-        )
-        assert result == expected
-
 
 class TestEdgeCases:
     def test_empty_relations(self):
@@ -165,7 +152,9 @@ class TestEdgeCases:
         rhs = Relation.from_sets([set(), {1, 2}])
         expected = containment_pairs_nested_loop(lhs, rhs)
         for partitioner in all_partitioners(k=4, theta_r=1, theta_s=2):
-            result, __ = run_disk_join(lhs, rhs, partitioner, signature_bits=8)
+            result, __ = run_disk_join(
+                lhs, rhs, partitioner, JoinConfig(signature_bits=8),
+            )
             assert result == expected, partitioner.describe()
 
     def test_duplicate_sets(self):
@@ -195,6 +184,8 @@ def test_disk_join_equals_brute_force(r_sets, s_sets, algorithm, k):
     """Property: the full disk pipeline computes exactly the join."""
     lhs = Relation.from_sets(r_sets)
     rhs = Relation.from_sets(s_sets)
-    partitioner = make_partitioner(algorithm, k, 5, 8, seed=1)
-    result, __ = run_disk_join(lhs, rhs, partitioner, signature_bits=32)
+    partitioner = resolve_partitioner(algorithm, k, 5, 8, seed=1)
+    result, __ = run_disk_join(
+        lhs, rhs, partitioner, JoinConfig(signature_bits=32),
+    )
     assert result == containment_pairs_nested_loop(lhs, rhs)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import JoinConfig
 from repro.core.operator import SetContainmentJoin, Testbed, run_disk_join
 from repro.core.psj import PSJPartitioner
 from repro.core.sets import containment_pairs_nested_loop
@@ -16,7 +17,7 @@ class TestResidentPartitions:
         for resident in (1, 4, 8):
             result, __ = run_disk_join(
                 lhs, rhs, PSJPartitioner(8, seed=1),
-                resident_partitions=resident,
+                JoinConfig(resident_partitions=resident),
             )
             assert result == expected, resident
 
@@ -24,7 +25,8 @@ class TestResidentPartitions:
         lhs, rhs = small_workload
         __, baseline = run_disk_join(lhs, rhs, PSJPartitioner(8, seed=1))
         __, resident = run_disk_join(
-            lhs, rhs, PSJPartitioner(8, seed=1), resident_partitions=4
+            lhs, rhs, PSJPartitioner(8, seed=1),
+            JoinConfig(resident_partitions=4),
         )
         # Total partition entries are conserved; part move to memory.
         assert (
@@ -40,19 +42,16 @@ class TestResidentPartitions:
         """resident >= k degenerates to a pure in-memory partition join."""
         lhs, rhs = small_workload
         result, metrics = run_disk_join(
-            lhs, rhs, PSJPartitioner(4, seed=1), resident_partitions=99
+            lhs, rhs, PSJPartitioner(4, seed=1),
+            JoinConfig(resident_partitions=99),
         )
         assert result == containment_pairs_nested_loop(lhs, rhs)
         assert metrics.replicated_signatures == 0
         assert metrics.resident_signatures > 0
 
-    def test_negative_rejected(self, paper_r, paper_s):
-        with Testbed() as testbed:
-            testbed.load(paper_r, paper_s)
-            with pytest.raises(ConfigurationError):
-                SetContainmentJoin(
-                    testbed, PSJPartitioner(4), resident_partitions=-1
-                )
+    def test_negative_rejected(self):
+        with pytest.raises(ConfigurationError):
+            JoinConfig(resident_partitions=-1)
 
 
 class TestSpilledCandidates:
@@ -60,7 +59,8 @@ class TestSpilledCandidates:
         lhs, rhs = small_workload
         expected = containment_pairs_nested_loop(lhs, rhs)
         result, metrics = run_disk_join(
-            lhs, rhs, PSJPartitioner(8, seed=1), spill_candidates=True
+            lhs, rhs, PSJPartitioner(8, seed=1),
+            JoinConfig(spill_candidates=True),
         )
         assert result == expected
         assert metrics.candidates >= len(expected)
@@ -69,7 +69,8 @@ class TestSpilledCandidates:
         lhs, rhs = small_workload
         __, in_memory = run_disk_join(lhs, rhs, PSJPartitioner(8, seed=1))
         __, spilled = run_disk_join(
-            lhs, rhs, PSJPartitioner(8, seed=1), spill_candidates=True
+            lhs, rhs, PSJPartitioner(8, seed=1),
+            JoinConfig(spill_candidates=True),
         )
         assert spilled.candidates == in_memory.candidates
         assert spilled.false_positives == in_memory.false_positives
@@ -78,7 +79,7 @@ class TestSpilledCandidates:
         lhs, rhs = small_workload
         result, __ = run_disk_join(
             lhs, rhs, PSJPartitioner(8, seed=1),
-            spill_candidates=True, resident_partitions=3,
+            JoinConfig(spill_candidates=True, resident_partitions=3),
         )
         assert result == containment_pairs_nested_loop(lhs, rhs)
 
@@ -90,7 +91,8 @@ class TestVerifyPerPartition:
             lhs, rhs, PSJPartitioner(8, seed=1)
         )
         interleaved_result, interleaved = run_disk_join(
-            lhs, rhs, PSJPartitioner(8, seed=1), verify_per_partition=True
+            lhs, rhs, PSJPartitioner(8, seed=1),
+            JoinConfig(verify_per_partition=True),
         )
         assert interleaved_result == deferred_result
         assert interleaved.candidates == deferred.candidates
@@ -105,24 +107,19 @@ class TestVerifyPerPartition:
         lhs, rhs = small_workload
         partitioner = DCJPartitioner.for_cardinalities(16, 8, 16)
         __, metrics = run_disk_join(
-            lhs, rhs, partitioner, verify_per_partition=True
+            lhs, rhs, partitioner, JoinConfig(verify_per_partition=True),
         )
         assert metrics.set_comparisons == metrics.candidates
 
-    def test_mutually_exclusive_with_spilling(self, paper_r, paper_s):
-        with Testbed() as testbed:
-            testbed.load(paper_r, paper_s)
-            with pytest.raises(ConfigurationError):
-                SetContainmentJoin(
-                    testbed, PSJPartitioner(4),
-                    spill_candidates=True, verify_per_partition=True,
-                )
+    def test_mutually_exclusive_with_spilling(self):
+        with pytest.raises(ConfigurationError):
+            JoinConfig(spill_candidates=True, verify_per_partition=True)
 
     def test_combined_with_resident_partitions(self, small_workload):
         lhs, rhs = small_workload
         result, __ = run_disk_join(
             lhs, rhs, PSJPartitioner(8, seed=1),
-            verify_per_partition=True, resident_partitions=4,
+            JoinConfig(verify_per_partition=True, resident_partitions=4),
         )
         assert result == containment_pairs_nested_loop(lhs, rhs)
 

@@ -8,6 +8,7 @@ comparisons, ``y`` = replicated signatures) to the serial operator.
 
 import pytest
 
+from repro.core import JoinConfig
 from repro.core.operator import SetContainmentJoin, Testbed, run_disk_join
 from repro.core.psj import PSJPartitioner
 from repro.core.sets import containment_pairs_nested_loop
@@ -45,7 +46,7 @@ class TestResultInvariance:
         expected, baseline = serial_run
         pairs, metrics = run_disk_join(
             lhs, rhs, PSJPartitioner(8, seed=1),
-            workers=workers, backend=backend,
+            JoinConfig(workers=workers, backend=backend),
         )
         assert pairs == expected
         assert metrics.signature_comparisons == baseline.signature_comparisons
@@ -62,8 +63,8 @@ class TestResultInvariance:
         expected, baseline = serial_run
         pairs, metrics = run_disk_join(
             lhs, rhs, PSJPartitioner(8, seed=1),
+            JoinConfig(workers=4, backend=backend),
             path=str(tmp_path / f"{backend}.db"),
-            workers=4, backend=backend,
         )
         assert pairs == expected
         assert metrics.signature_comparisons == baseline.signature_comparisons
@@ -72,7 +73,8 @@ class TestResultInvariance:
     def test_correct_against_nested_loop(self, workload):
         lhs, rhs = workload
         pairs, __ = run_disk_join(
-            lhs, rhs, PSJPartitioner(8, seed=1), workers=3, backend="process"
+            lhs, rhs, PSJPartitioner(8, seed=1),
+            JoinConfig(workers=3, backend="process"),
         )
         assert pairs == containment_pairs_nested_loop(lhs, rhs)
 
@@ -81,7 +83,7 @@ class TestResultInvariance:
         expected, baseline = serial_run
         pairs, metrics = run_disk_join(
             lhs, rhs, PSJPartitioner(8, seed=1),
-            workers=2, backend="thread", resident_partitions=4,
+            JoinConfig(workers=2, backend="thread", resident_partitions=4),
         )
         assert pairs == expected
         assert metrics.signature_comparisons == baseline.signature_comparisons
@@ -95,7 +97,7 @@ class TestResultInvariance:
         partitioner = DCJPartitioner.for_cardinalities(16, 8, 16)
         expected, baseline = run_disk_join(lhs, rhs, partitioner)
         pairs, metrics = run_disk_join(
-            lhs, rhs, partitioner, workers=4, backend="process"
+            lhs, rhs, partitioner, JoinConfig(workers=4, backend="process"),
         )
         assert pairs == expected
         assert metrics.candidates == baseline.candidates
@@ -113,7 +115,7 @@ class TestDeterministicOrdering:
         for workers in (1, 2, 4):
             pairs, __ = run_disk_join(
                 lhs, rhs, PSJPartitioner(8, seed=1),
-                engine=engine, workers=workers, backend="thread",
+                JoinConfig(engine=engine, workers=workers, backend="thread"),
             )
             orderings.append(sorted(pairs))
         assert orderings[0] == orderings[1] == orderings[2]
@@ -159,7 +161,7 @@ class TestBackendResolution:
             testbed.load(lhs, rhs)
             join = SetContainmentJoin(
                 testbed, PSJPartitioner(8, seed=1),
-                workers=4, parallel_backend="process",
+                JoinConfig(workers=4, backend="process"),
             )
             pairs, __ = join.run()
         assert pairs == expected
@@ -167,32 +169,21 @@ class TestBackendResolution:
 
 
 class TestConfigurationGuards:
-    def test_zero_workers_rejected(self, paper_r, paper_s):
-        with Testbed() as testbed:
-            testbed.load(paper_r, paper_s)
-            with pytest.raises(ConfigurationError):
-                SetContainmentJoin(testbed, PSJPartitioner(4), workers=0)
+    def test_zero_workers_rejected(self):
+        with pytest.raises(ConfigurationError):
+            JoinConfig(workers=0)
 
-    def test_unknown_backend_rejected(self, paper_r, paper_s):
-        with Testbed() as testbed:
-            testbed.load(paper_r, paper_s)
-            with pytest.raises(ConfigurationError):
-                SetContainmentJoin(
-                    testbed, PSJPartitioner(4), parallel_backend="gpu"
-                )
+    def test_unknown_backend_rejected(self):
+        with pytest.raises(ConfigurationError):
+            JoinConfig(backend="gpu")
 
     @pytest.mark.parametrize(
         "options",
         [{"spill_candidates": True}, {"verify_per_partition": True}],
     )
-    def test_parallel_excludes_serial_only_modes(self, paper_r, paper_s,
-                                                 options):
-        with Testbed() as testbed:
-            testbed.load(paper_r, paper_s)
-            with pytest.raises(ConfigurationError):
-                SetContainmentJoin(
-                    testbed, PSJPartitioner(4), workers=2, **options
-                )
+    def test_parallel_excludes_serial_only_modes(self, options):
+        with pytest.raises(ConfigurationError):
+            JoinConfig(workers=2, **options)
 
 
 class TestTimeout:
@@ -210,7 +201,7 @@ class TestTimeout:
             testbed.load(lhs, rhs)
             join = SetContainmentJoin(
                 testbed, PSJPartitioner(8, seed=1),
-                workers=2, parallel_backend="thread", shard_timeout=0.05,
+                JoinConfig(workers=2, backend="thread"), shard_timeout=0.05,
             )
             with pytest.raises(ParallelExecutionError, match="timeout"):
                 join.run()
@@ -230,7 +221,7 @@ class TestTimeout:
             live_before = testbed.disk.num_live_pages
             join = SetContainmentJoin(
                 testbed, PSJPartitioner(8, seed=1),
-                workers=2, parallel_backend="thread", shard_timeout=0.05,
+                JoinConfig(workers=2, backend="thread"), shard_timeout=0.05,
             )
             with pytest.raises(ParallelExecutionError):
                 join.run()
@@ -244,7 +235,7 @@ class TestEmptyInputs:
         empty = Relation.from_sets([], name="S")
         pairs, metrics = run_disk_join(
             paper_r, empty, PSJPartitioner(4, seed=1),
-            workers=4, backend="process",
+            JoinConfig(workers=4, backend="process"),
         )
         assert pairs == set()
         assert metrics.signature_comparisons == 0
@@ -270,7 +261,7 @@ class TestTimeoutCancellation:
             testbed.load(lhs, rhs)
             join = SetContainmentJoin(
                 testbed, PSJPartitioner(8, seed=1),
-                workers=2, parallel_backend="thread", shard_timeout=0.05,
+                JoinConfig(workers=2, backend="thread"), shard_timeout=0.05,
             )
             with pytest.raises(ParallelExecutionError) as excinfo:
                 join.run()

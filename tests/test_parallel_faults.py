@@ -7,6 +7,7 @@ the failed join must leave no orphaned spill-partition pages behind.
 
 import pytest
 
+from repro.core import JoinConfig
 from repro.core.operator import SetContainmentJoin, Testbed
 from repro.core.psj import PSJPartitioner
 from repro.errors import ParallelExecutionError, SetJoinError
@@ -24,7 +25,7 @@ def loaded_testbed(tmp_path, small_workload):
 def test_worker_io_failure_is_typed(loaded_testbed, backend):
     join = SetContainmentJoin(
         loaded_testbed, PSJPartitioner(8, seed=1),
-        workers=2, parallel_backend=backend,
+        JoinConfig(workers=2, backend=backend),
     )
     # Every worker's FaultInjectingDiskManager dies on its first page read.
     join._worker_fault_after = 0
@@ -41,7 +42,7 @@ def test_failed_join_leaves_no_orphaned_partitions(loaded_testbed):
     live_before = loaded_testbed.disk.num_live_pages
     join = SetContainmentJoin(
         loaded_testbed, PSJPartitioner(8, seed=1),
-        workers=2, parallel_backend="process",
+        JoinConfig(workers=2, backend="process"),
     )
     join._worker_fault_after = 0
     with pytest.raises(ParallelExecutionError):
@@ -54,7 +55,7 @@ def test_failed_join_leaves_no_orphaned_partitions(loaded_testbed):
 def test_testbed_usable_after_worker_failure(loaded_testbed):
     failing = SetContainmentJoin(
         loaded_testbed, PSJPartitioner(8, seed=1),
-        workers=2, parallel_backend="process",
+        JoinConfig(workers=2, backend="process"),
     )
     failing._worker_fault_after = 0
     with pytest.raises(ParallelExecutionError):
@@ -66,6 +67,6 @@ def test_testbed_usable_after_worker_failure(loaded_testbed):
     ).run()
     expected, __ = SetContainmentJoin(
         loaded_testbed, PSJPartitioner(8, seed=1),
-        workers=2, parallel_backend="process",
+        JoinConfig(workers=2, backend="process"),
     ).run()
     assert pairs == expected

@@ -13,6 +13,7 @@ this file pins down).
 
 import pytest
 
+from repro.core import JoinConfig
 from repro.core.operator import SetContainmentJoin, Testbed
 from repro.core.psj import PSJPartitioner
 from repro.data.workloads import uniform_workload
@@ -49,7 +50,7 @@ def run_join(tmp_path, workload, backend):
     disk = WALDiskManager(
         FileDiskManager(path, 4096), WriteAheadLog(path + ".wal", 4096)
     )
-    pool = BufferPool(disk, capacity=128, policy="lru")
+    pool = BufferPool(disk, capacity=128)
     testbed = Testbed.from_components(disk, pool, None, None)
     registry = get_registry()
     before = registry.snapshot()
@@ -61,7 +62,7 @@ def run_join(tmp_path, workload, backend):
     disk.commit()
     join = SetContainmentJoin(
         testbed, PSJPartitioner(8, seed=1),
-        workers=3, parallel_backend=backend,
+        JoinConfig(workers=3, backend=backend),
     )
     pairs, metrics = join.run(cold_cache=False)
     record_join(metrics)

@@ -6,6 +6,7 @@ import os
 import pytest
 
 from repro.cli import main as cli_main
+from repro.core.signatures import DEFAULT_SIGNATURE_BITS
 from repro.database import SetJoinDatabase
 from repro.errors import ConfigurationError, SetJoinError
 from repro.service import QueryService
@@ -280,6 +281,26 @@ class TestReplay:
         assert report.clean  # nothing replayable diverged
         assert report.skipped["missing_relation"] == 2
         assert report.replayed == 1  # the probe still runs
+
+    def test_record_without_signature_bits_replays_at_the_default(
+            self, captured_run):
+        db_path, capture_path, __answers = captured_run
+        join = next(record for record in read_capture(capture_path)
+                    if record.kind == "join" and record.status == "ok")
+        del join.params["signature_bits"]
+        widths = []
+        with SetJoinDatabase.open(db_path) as db:
+            run_join = db.join
+
+            def recording_join(*args, **kwargs):
+                pairs, metrics = run_join(*args, **kwargs)
+                widths.append(metrics.signature_bits)
+                return pairs, metrics
+
+            db.join = recording_join
+            report = replay_capture([join], db)
+        assert widths == [DEFAULT_SIGNATURE_BITS]
+        assert report.clean and report.matched == 1
 
     def test_unresolved_auto_algorithm_is_refused(self, captured_run):
         db_path, capture_path, __answers = captured_run

@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from repro.core import JoinConfig
 from repro.core.operator import SetContainmentJoin, Testbed
 from repro.core.psj import PSJPartitioner
 from repro.errors import ConfigurationError, ParallelExecutionError
@@ -284,7 +285,7 @@ class TestRetriedJoinIsBitIdentical:
         def clean_run():
             return SetContainmentJoin(
                 loaded_testbed, PSJPartitioner(8, seed=1),
-                workers=2, parallel_backend="thread",
+                JoinConfig(workers=2, backend="thread"),
             ).run()
 
         expected_pairs, expected_metrics = clean_run()
@@ -296,7 +297,7 @@ class TestRetriedJoinIsBitIdentical:
             attempts.append(backend)
             return SetContainmentJoin(
                 loaded_testbed, PSJPartitioner(8, seed=1),
-                workers=2, parallel_backend=backend, shard_hook=hook,
+                JoinConfig(workers=2, backend=backend), shard_hook=hook,
             ).run()
 
         pairs, metrics = run_with_retries(
@@ -320,7 +321,7 @@ class TestRetriedJoinIsBitIdentical:
         def operation(backend):
             return SetContainmentJoin(
                 loaded_testbed, PSJPartitioner(8, seed=1),
-                workers=2, parallel_backend=backend, shard_hook=hook,
+                JoinConfig(workers=2, backend=backend), shard_hook=hook,
             ).run()
 
         with pytest.raises(ParallelExecutionError, match="InjectedIOError"):

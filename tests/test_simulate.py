@@ -4,10 +4,10 @@ import pytest
 
 from repro.analysis.simulate import (
     FactorObservation,
-    make_partitioner,
     monte_carlo_selectivity,
     simulate_factors,
 )
+from repro.core import resolve_partitioner
 from repro.core.dcj import DCJPartitioner
 from repro.core.lsj import LSJPartitioner
 from repro.core.psj import PSJPartitioner
@@ -17,13 +17,13 @@ from repro.errors import ConfigurationError
 
 class TestMakePartitioner:
     def test_builds_each_kind(self):
-        assert isinstance(make_partitioner("PSJ", 8, 10, 20), PSJPartitioner)
-        assert isinstance(make_partitioner("DCJ", 8, 10, 20), DCJPartitioner)
-        assert isinstance(make_partitioner("LSJ", 8, 10, 20), LSJPartitioner)
+        assert isinstance(resolve_partitioner("PSJ", 8, 10, 20), PSJPartitioner)
+        assert isinstance(resolve_partitioner("DCJ", 8, 10, 20), DCJPartitioner)
+        assert isinstance(resolve_partitioner("LSJ", 8, 10, 20), LSJPartitioner)
 
     def test_unknown_rejected(self):
         with pytest.raises(ConfigurationError):
-            make_partitioner("SHJ", 8, 10, 20)
+            resolve_partitioner("SHJ", 8, 10, 20)
 
 
 class TestSimulateFactors:

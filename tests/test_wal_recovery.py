@@ -13,6 +13,7 @@ import os
 
 import pytest
 
+from repro.core import JoinConfig
 from repro.errors import ConfigurationError, CorruptPageError, WALError
 from repro.storage.faults import CrashSimulator, FaultInjectingDiskManager
 from repro.storage.pager import FileDiskManager, InMemoryDiskManager
@@ -375,7 +376,7 @@ class TestCrashSweeps:
             db.create_relation("s", rows(12, width=6))
 
         def operation(db):
-            db.join("r", "s", algorithm="PSJ", num_partitions=4)
+            db.join("r", "s", JoinConfig(algorithm="PSJ", num_partitions=4))
 
         expected = {
             (r_tid, s_tid)
@@ -387,7 +388,9 @@ class TestCrashSweeps:
         def check(db, crashed):
             assert sorted(db.relation_names()) == ["r", "s"]
             db.verify_integrity()
-            pairs, __ = db.join("r", "s", algorithm="PSJ", num_partitions=4)
+            pairs, __ = db.join(
+                "r", "s", JoinConfig(algorithm="PSJ", num_partitions=4),
+            )
             assert pairs == expected
 
         assert sim.sweep(prepare, operation, check, max_points=40) > 0
